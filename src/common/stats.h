@@ -60,7 +60,6 @@ class DeviationStat {
   void Add(double estimate, double truth) {
     const double d = estimate - truth;
     sum_sq_ += d * d;
-    sum_abs_ += d < 0 ? -d : d;
     ++count_;
   }
 
@@ -69,13 +68,10 @@ class DeviationStat {
   int64_t count() const { return count_; }
   /// Root-mean-square deviation from truth; 0 when empty.
   double rms() const;
-  /// Mean absolute deviation from truth; 0 when empty.
-  double mean_abs() const { return count_ > 0 ? sum_abs_ / count_ : 0.0; }
 
  private:
   int64_t count_ = 0;
   double sum_sq_ = 0.0;
-  double sum_abs_ = 0.0;
 };
 
 /// Fixed-width histogram over [lo, hi) with explicit under/overflow buckets;

@@ -49,6 +49,8 @@ const char* CounterName(Counter counter) {
       return "churn_joins";
     case Counter::kChurnRebirths:
       return "churn_rebirths";
+    case Counter::kRecordEvaluations:
+      return "record_evaluations";
   }
   return "unknown";
 }

@@ -67,8 +67,9 @@ enum class Counter : int {
   kPoolWaitNs,            // ns the dispatcher idled waiting on pool workers
   kChurnJoins,            // first-time arrivals admitted by churn plans
   kChurnRebirths,         // state-reset ID-reuse rebirths from churn plans
+  kRecordEvaluations,     // rounds / async samples whose RMS was evaluated
 };
-constexpr int kNumCounters = 11;
+constexpr int kNumCounters = 12;
 
 /// Stable counter name ("plan_cache_hits", ...), used for summary columns.
 const char* CounterName(Counter counter);

@@ -13,7 +13,6 @@
 #include "net/message.h"
 #include "obs/telemetry.h"
 #include "scenario/config.h"
-#include "sim/metrics.h"
 #include "sim/population.h"
 #include "sim/simulator.h"
 
@@ -40,13 +39,15 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, def));
   DYNAGG_ASSIGN_OR_RETURN(const net::NetworkParams net_params,
                           ParseNetworkParams(spec));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t record_from,
-                          spec.ParamInt("record.from", 0));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t record_every,
-                          spec.ParamInt("record.every", 1));
+  // ValidateAsyncSpec admits only record.from and record.every.
+  DYNAGG_ASSIGN_OR_RETURN(const RecordConfig window,
+                          ParseRecordConfig(spec, {}));
 
-  const bool want_rms = MetricRequested(spec, "rms");
-  const bool want_tail = MetricRequested(spec, "rms_tail_mean");
+  // The per-tick sampler reads rms and rms_tail_mean; final_rms is one
+  // evaluation after the network settles, outside the sampled ticks.
+  MetricFlags sampled;
+  sampled.rms = MetricRequested(spec, "rms");
+  sampled.tail_mean = MetricRequested(spec, "rms_tail_mean");
   const bool want_final = MetricRequested(spec, "final_rms");
   const bool want_bandwidth = MetricRequested(spec, "bandwidth");
   const bool want_gossip_bytes = MetricRequested(spec, "gossip_bytes");
@@ -99,11 +100,11 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
 
   // Declare the series up front so batches stay structurally identical
   // even when the recording window is empty.
-  if (want_rms) rec.MutableSeries("round", "rms");
+  if (sampled.rms) rec.MutableSeries("round", "rms");
   RunningStat tail;
 
   const auto rms_now = [&]() {
-    return RmsDeviationOverAlive(pop, swarm.truth(pop), swarm.estimate);
+    return swarm.rms_deviation(pop, swarm.truth(pop));
   };
 
   // Gossip tick k fires at (k+1) * gossip_period: plan the send wave, then
@@ -141,15 +142,17 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
         // Zero-delay messages sent by this instant's tick still land before
         // the sampler observes (deliveries outrank samplers at a tie).
         drain_due(sim.Now());
-        if (want_rms || want_tail) {
+        if (sampled.ConsumesRound(sample, window, ticks,
+                                  /*converged=*/false)) {
           obs::ScopedPhase record_span(obs::Phase::kRecord);
+          obs::Count(obs::Counter::kRecordEvaluations, 1);
           const double rms = rms_now();
-          if (want_rms && sample >= record_from &&
-              (sample - record_from) % record_every == 0) {
+          if (sampled.rms && sample >= window.from &&
+              (sample - window.from) % window.every == 0) {
             rec.AddSeriesPoint("round", "rms",
                                static_cast<double>(sample + 1), rms);
           }
-          if (want_tail && sample >= record_from) tail.Add(rms);
+          if (sampled.tail_mean && sample >= window.from) tail.Add(rms);
         }
         return ++sample < ticks;
       },
@@ -168,7 +171,7 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
              static_cast<int64_t>(rng.draw_count()) + model.rng_draws());
   obs::ScopedPhase record_span(obs::Phase::kRecord);
 
-  if (want_tail) rec.AddScalar("rms_tail_mean", tail.mean());
+  if (sampled.tail_mean) rec.AddScalar("rms_tail_mean", tail.mean());
   if (want_final) rec.AddScalar("final_rms", rms_now());
   if (want_delivery) {
     rec.AddScalar("delivery_rate",

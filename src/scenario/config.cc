@@ -155,6 +155,21 @@ Result<MetricFlags> ClassifyDriverMetrics(
   return flags;
 }
 
+bool MetricFlags::ConsumesRound(int round, const RecordConfig& cfg,
+                                int rounds, bool converged) const {
+  if (rms && round >= cfg.from && (round - cfg.from) % cfg.every == 0) {
+    return true;
+  }
+  if (tail_mean && round >= cfg.from) return true;
+  if (final_rms && round == rounds - 1) return true;
+  for (const double r : rms_at) {
+    if (r == round + 1) return true;
+  }
+  if (!rounds_below.empty()) return true;
+  if (recovery && round >= cfg.recovery_from) return true;
+  return convergence && !converged;
+}
+
 Result<RecordConfig> ParseRecordConfig(
     const ScenarioSpec& spec, const std::vector<std::string>& extra_keys) {
   if (spec.HasParam("record.kind")) {

@@ -30,6 +30,8 @@
 namespace dynagg {
 namespace scenario {
 
+struct RecordConfig;
+
 /// Which of the rounds driver's metrics the spec requests.
 struct MetricFlags {
   bool rms = false;
@@ -65,10 +67,21 @@ struct MetricFlags {
   /// Any selector the swarm listed as extra (handled by its finish hook).
   bool extra = false;
 
+  /// Whether any selector reads a per-round RMS at all (an every-round
+  /// evaluator's test; the drivers ask ConsumesRound per round).
   bool NeedsRoundEvaluation() const {
     return rms || tail_mean || convergence || final_rms || recovery ||
            !rms_at.empty() || !rounds_below.empty();
   }
+  /// Whether a requested selector reads the RMS of round `round` (0-based,
+  /// of `rounds`): rms on its record.from/every grid, rms_tail_mean from
+  /// record.from, final_rms on the last round, rms_at(R) at round R,
+  /// rounds_below on every round, recovery_rounds from
+  /// record.recovery_from, and rounds_to_converge until it has
+  /// `converged`. The drivers evaluate truth and RMS on exactly these
+  /// rounds.
+  bool ConsumesRound(int round, const RecordConfig& cfg, int rounds,
+                     bool converged) const;
   /// Early convergence stop is only sound when no other metric needs the
   /// remaining rounds.
   bool OnlyConvergence() const {

@@ -1,13 +1,18 @@
 // Builtin trial drivers: how simulated time advances within one trial.
 //
 //   rounds  The paper's synchronous round loop (sim/round_driver.h) with
-//           the spec-declared failure plan, multi-metric recording and
-//           early convergence stop. All requested metrics are recorded in
-//           ONE pass over the rounds:
+//           the spec-declared failure or churn plan, multi-metric
+//           recording and early convergence stop. All requested metrics
+//           are recorded in ONE pass over the rounds, and truth and RMS
+//           are evaluated only on the rounds some selector reads
+//           (MetricFlags::ConsumesRound):
 //             - rms                 per-round RMS-deviation series
 //                                   (record.from/every)
 //             - rms_tail_mean       scalar mean RMS over rounds >= from
+//             - final_rms, rms_at   the RMS after the last / a given round
 //             - rounds_to_converge  first round with RMS < record.threshold
+//             - rounds_below,       sustained-below rounds over the whole
+//               recovery_rounds     run / the post-failure window
 //             - bandwidth           measured traffic via TrafficMeter
 //             - cdf(final_error)    per-host |estimate - truth| CDF
 //           plus any extra selectors the swarm's finish hook handles.
@@ -201,11 +206,15 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   // series so batches stay structurally identical across units.
   if (metrics.rms) rec.MutableSeries("round", "rms");
   const auto on_round_end = [&](int round) {
-    if (!metrics.NeedsRoundEvaluation()) return true;
+    if (!metrics.ConsumesRound(round, cfg, spec.rounds,
+                               converged_round >= 0)) {
+      return true;
+    }
     // Telemetry: per-round metric evaluation is the record phase.
     obs::ScopedPhase record_span(obs::Phase::kRecord);
+    obs::Count(obs::Counter::kRecordEvaluations, 1);
     const double tr = swarm.truth(pop);
-    double rms = RmsDeviationOverAlive(pop, tr, swarm.estimate);
+    double rms = swarm.rms_deviation(pop, tr);
     // record.relative: the series (and everything derived from it) is
     // measured relative to the current truth, the cutoff ablation's
     // rms/truth convention. A zero truth would silently record inf/nan.

@@ -234,7 +234,7 @@ SwarmHandle AveragingHandle(std::shared_ptr<Box> box, double state_bytes) {
   h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
     swarm->RunRound(e, p, r);
   };
-  h.estimate = [swarm](HostId id) { return swarm->Estimate(id); };
+  SetEstimate(h, [swarm](HostId id) { return swarm->Estimate(id); });
   h.truth = [values](const Population& pop) {
     return TrueAverage(*values, pop);
   };
@@ -271,7 +271,7 @@ SwarmHandle CountingHandle(std::shared_ptr<Box> box, double state_bytes) {
   h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
     swarm->RunRound(e, p, r);
   };
-  h.estimate = [swarm](HostId id) { return swarm->EstimateCount(id); };
+  SetEstimate(h, [swarm](HostId id) { return swarm->EstimateCount(id); });
   h.truth = [mult](const Population& pop) {
     int64_t total = 0;
     for (const HostId id : pop.alive_ids()) total += (*mult)[id];
@@ -432,7 +432,7 @@ Result<SwarmHandle> MakeExtremes(const TrialContext& ctx, EnvHandle& env) {
   h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
     swarm->RunRound(e, p, r);
   };
-  h.estimate = [swarm](HostId id) { return swarm->Estimate(id); };
+  SetEstimate(h, [swarm](HostId id) { return swarm->Estimate(id); });
   h.truth = [values, kind](const Population& pop) {
     bool first = true;
     double best = 0.0;
@@ -785,7 +785,7 @@ Result<SwarmHandle> MakeInvertAverage(const TrialContext& ctx,
   h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
     swarm->RunRound(e, p, r);
   };
-  h.estimate = [swarm](HostId id) { return swarm->EstimateSum(id); };
+  SetEstimate(h, [swarm](HostId id) { return swarm->EstimateSum(id); });
   h.truth = [values](const Population& pop) {
     return TrueSum(*values, pop);
   };
@@ -913,23 +913,23 @@ Result<SwarmHandle> MakeNodeAggregator(const TrialContext& ctx,
     swarm->RunRound(e, p, r);
   };
   if (metric == "average") {
-    h.estimate = [swarm](HostId id) {
+    SetEstimate(h, [swarm](HostId id) {
       return swarm->device(id).AverageEstimate();
-    };
+    });
     h.truth = [values](const Population& pop) {
       return TrueAverage(*values, pop);
     };
   } else if (metric == "count") {
-    h.estimate = [swarm](HostId id) {
+    SetEstimate(h, [swarm](HostId id) {
       return swarm->device(id).CountEstimate();
-    };
+    });
     h.truth = [](const Population& pop) {
       return static_cast<double>(pop.num_alive());
     };
   } else if (metric == "sum") {
-    h.estimate = [swarm](HostId id) {
+    SetEstimate(h, [swarm](HostId id) {
       return swarm->device(id).SumEstimate();
-    };
+    });
     h.truth = [values](const Population& pop) {
       return TrueSum(*values, pop);
     };

@@ -25,9 +25,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "env/contact_trace.h"
@@ -275,10 +277,16 @@ using EnvironmentFactory =
 struct SwarmHandle {
   /// Executes one gossip round (required).
   std::function<void(const Environment&, const Population&, Rng&)> run_round;
-  /// Per-host estimate of the aggregate (required).
+  /// Per-host estimate of the aggregate (required; set with SetEstimate).
   std::function<double(HostId)> estimate;
+  /// RMS deviation of the alive hosts' estimates from `truth`: the sum
+  /// RmsDeviationOverAlive(pop, truth, estimate) computes, bit for bit,
+  /// with the swarm's estimate inlined instead of called per host through
+  /// `estimate`. SetEstimate sets both, so they cannot disagree.
+  std::function<double(const Population&, double truth)> rms_deviation;
   /// Network-wide truth over the alive population (required; the rounds
-  /// driver evaluates it every round for the error metrics).
+  /// driver evaluates it on every round an error metric reads, see
+  /// MetricFlags::ConsumesRound).
   std::function<double(const Population&)> truth;
   /// Per-group truth for group-relative (trace) error: given the current
   /// component labelling and per-group member counts, the truth of each
@@ -335,6 +343,18 @@ struct SwarmHandle {
   /// Owns the swarm and whatever storage the callbacks point into.
   std::shared_ptr<void> keepalive;
 };
+
+/// Sets `h.estimate` and its fused `h.rms_deviation` from one typed
+/// per-host estimate.
+template <typename EstimateFn>
+void SetEstimate(SwarmHandle& h, EstimateFn estimate) {
+  h.rms_deviation = [estimate](const Population& pop, double truth) {
+    DeviationStat dev;
+    for (const HostId id : pop.alive_ids()) dev.Add(estimate(id), truth);
+    return dev.rms();
+  };
+  h.estimate = std::move(estimate);
+}
 
 /// Builds the swarm for one trial. The driver has already instantiated the
 /// environment (sized populations, trace playback state).

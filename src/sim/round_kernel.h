@@ -212,9 +212,11 @@ class RoundKernel {
     const std::vector<HostId>& partners = plan_.partners();
     DYNAGG_CHECK_EQ(payloads.size(), initiators.size());
     const size_t slots = initiators.size();
+    // One payload per slot, as ForEachPushSlot counts it: the self echo
+    // re-delivers the slot's payload, so the count stays the same whichever
+    // path the intra-round thread count selects.
     obs::Count(obs::Counter::kDepositBytes,
-               static_cast<int64_t>((self_echo ? 2 : 1) * slots *
-                                    sizeof(Payload)));
+               static_cast<int64_t>(slots * sizeof(Payload)));
     const int threads = EffectiveThreads(num_hosts);
     if (threads <= 1) {
       for (size_t k = 0; k < slots; ++k) {

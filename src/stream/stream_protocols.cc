@@ -387,7 +387,7 @@ Result<SwarmHandle> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env,
   h.run_round = [raw](const Environment& e, const Population& p, Rng& r) {
     raw->RunRound(e, p, r);
   };
-  h.estimate = [raw](HostId id) { return raw->Estimate(id); };
+  SetEstimate(h, [raw](HostId id) { return raw->Estimate(id); });
   h.truth = [raw](const Population&) { return raw->TruthTotal(); };
   h.state_bytes = static_cast<double>(raw->message_bytes());
   h.gossip_bytes = static_cast<double>(raw->message_bytes());

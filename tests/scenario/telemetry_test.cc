@@ -14,6 +14,7 @@
 #include "scenario/executor.h"
 #include "scenario/sink.h"
 #include "scenario/spec.h"
+#include "sim/worker_pool.h"
 
 namespace dynagg {
 namespace scenario {
@@ -79,26 +80,52 @@ TEST(TelemetryRunTest, CollectionDoesNotPerturbResults) {
   }
 }
 
+/// Forces the sharded scatter path on hosts with fewer CPUs than threads.
+class ScopedVisibleCpus {
+ public:
+  explicit ScopedVisibleCpus(int n) { WorkerPool::OverrideVisibleCpusForTest(n); }
+  ~ScopedVisibleCpus() { WorkerPool::OverrideVisibleCpusForTest(0); }
+};
+
 TEST(TelemetryRunTest, CountersAreThreadCountIndependent) {
-  const ScenarioSpec spec = MustParse(kSpec);
-  ExperimentTelemetry tel1, tel4;
-  MustRenderRun(spec, RunOptions{1, "summary", nullptr}, &tel1);
-  MustRenderRun(spec, RunOptions{4, "summary", nullptr}, &tel4);
+  ScopedVisibleCpus cpus(2);
+  // Push mode: the only mode whose rounds deposit payloads.
+  const std::string text = std::string(kSpec) + "protocol.mode = push\n";
+  const ScenarioSpec base = MustParse(text);
+  ExperimentTelemetry tel1;
+  MustRenderRun(base, RunOptions{1, "summary", nullptr}, &tel1);
   ASSERT_EQ(tel1.summary.size(), 1u);
-  ASSERT_EQ(tel4.summary.size(), 1u);
   const CsvTable& t1 = tel1.summary[0].table;
-  const CsvTable& t4 = tel4.summary[0].table;
-  EXPECT_EQ(t1.columns(), t4.columns());
   EXPECT_EQ(t1.num_rows(), 2);  // one per sweep point
-  // Everything except wall-clock timings is an exact, deterministic count.
-  for (const char* col :
-       {"lambda", "trials", "rounds", "plan_cache_hits", "plan_cache_rebuilds",
-        "alive_bitmap_rebuilds", "rng_draws", "gossip_exchanges",
-        "deposit_bytes", "early_stop_rounds"}) {
-    EXPECT_EQ(Column(t1, col), Column(t4, col)) << "column " << col;
+  // Executor threads 1 vs 4 and intra-round threads 1 vs 2 (the fused
+  // apply vs the sharded scatter) do the same work.
+  for (const int intra : {1, 2}) {
+    const ScenarioSpec spec = MustParse(
+        text + "intra_round_threads = " + std::to_string(intra) + "\n");
+    for (const int threads : {1, 4}) {
+      ExperimentTelemetry tel;
+      MustRenderRun(spec, RunOptions{threads, "summary", nullptr}, &tel);
+      ASSERT_EQ(tel.summary.size(), 1u);
+      const CsvTable& t = tel.summary[0].table;
+      EXPECT_EQ(t1.columns(), t.columns());
+      // Everything except wall-clock timings is an exact, deterministic
+      // count.
+      for (const char* col :
+           {"lambda", "trials", "rounds", "plan_cache_hits",
+            "plan_cache_rebuilds", "alive_bitmap_rebuilds", "rng_draws",
+            "gossip_exchanges", "deposit_bytes", "early_stop_rounds",
+            "record_evaluations"}) {
+        EXPECT_EQ(Column(t1, col), Column(t, col))
+            << "column " << col << " intra_round_threads=" << intra
+            << " threads=" << threads;
+      }
+    }
   }
   EXPECT_GT(Column(t1, "rng_draws")[0], 0);
   EXPECT_GT(Column(t1, "gossip_exchanges")[0], 0);
+  EXPECT_GT(Column(t1, "deposit_bytes")[0], 0);
+  // rms needs rounds 4..7 and rms_tail_mean the same: 4 per trial, 2 trials.
+  EXPECT_EQ(Column(t1, "record_evaluations")[0], 8);
 }
 
 TEST(TelemetryRunTest, UnitsCarrySpansOnlyInProfileMode) {
