@@ -24,9 +24,11 @@
 #include "stream/stream_protocols.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -125,17 +127,24 @@ Result<StreamWorkloadParams> ParseStreamWorkloadSpec(const ScenarioSpec& spec) {
 
 /// One heavy-hitter metric selector, e.g. hh_precision(16).
 struct HhSelector {
-  std::string name;  // hh_precision | hh_recall | hh_weighted_err
+  enum class Kind { kPrecision, kRecall, kWeightedErr };
+  Kind kind = Kind::kPrecision;
   int k = 0;
 };
+
+/// The selector kind a metric name spells, or nullopt for a non-hh_* name.
+std::optional<HhSelector::Kind> HhSelectorKind(const std::string& name) {
+  if (name == "hh_precision") return HhSelector::Kind::kPrecision;
+  if (name == "hh_recall") return HhSelector::Kind::kRecall;
+  if (name == "hh_weighted_err") return HhSelector::Kind::kWeightedErr;
+  return std::nullopt;
+}
 
 Result<std::vector<HhSelector>> ParseHhSelectors(const ScenarioSpec& spec) {
   std::vector<HhSelector> out;
   for (const MetricSpec& m : spec.metrics) {
-    if (m.name != "hh_precision" && m.name != "hh_recall" &&
-        m.name != "hh_weighted_err") {
-      continue;
-    }
+    const std::optional<HhSelector::Kind> kind = HhSelectorKind(m.name);
+    if (!kind) continue;
     const Result<int64_t> k = ParseInt64(m.arg);
     if (!k.ok() || *k < 1 || *k > 1000000 ||
         m.arg != std::to_string(*k)) {
@@ -143,7 +152,7 @@ Result<std::vector<HhSelector>> ParseHhSelectors(const ScenarioSpec& spec) {
           m.ToString() + ": the argument must be a plain top-k size in "
           "[1, 1000000], e.g. " + m.name + "(16)");
     }
-    out.push_back({m.name, static_cast<int>(*k)});
+    out.push_back({*kind, static_cast<int>(*k)});
   }
   return out;
 }
@@ -152,6 +161,7 @@ struct FreqSketchSpecParams {
   int depth = 0;
   int width = 0;
   StreamWorkloadParams workload;
+  std::vector<HhSelector> selectors;  // the spec's hh_* records, in order
 };
 
 Result<FreqSketchSpecParams> ParseFreqSketchSpec(const ScenarioSpec& spec,
@@ -208,7 +218,7 @@ Result<FreqSketchSpecParams> ParseFreqSketchSpec(const ScenarioSpec& spec,
         "set protocol.width / protocol.depth explicitly");
   }
   DYNAGG_ASSIGN_OR_RETURN(out.workload, ParseStreamWorkloadSpec(spec));
-  DYNAGG_RETURN_IF_ERROR(ParseHhSelectors(spec).status());
+  DYNAGG_ASSIGN_OR_RETURN(out.selectors, ParseHhSelectors(spec));
   return out;
 }
 
@@ -216,11 +226,11 @@ Result<FreqSketchSpecParams> ParseFreqSketchSpec(const ScenarioSpec& spec,
 
 /// Emits the requested hh_* / sketch_bytes / hh_frontier scalars from the
 /// swarm's final state against the workload generator's exact counts.
+/// `selectors` are the spec's hh_* records as ParseHhSelectors returns them.
 Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
+                          const std::vector<HhSelector>& selectors,
                           const TrialContext& ctx, Recorder& rec) {
   const ScenarioSpec& spec = *ctx.spec;
-  DYNAGG_ASSIGN_OR_RETURN(const std::vector<HhSelector> selectors,
-                          ParseHhSelectors(spec));
   if (MetricRequested(spec, "sketch_bytes")) {
     rec.AddScalar("sketch_bytes", static_cast<double>(swarm.sketch_bytes()));
   }
@@ -245,6 +255,34 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
   const int m = static_cast<int>(truth.size());
   const double total = swarm.TruthTotal();
 
+  // Host-independent per-selector constants. k clamps to m. For precision
+  // and recall, `bound` is the size of the tie-inclusive true heavy-hitter
+  // set: every key at least as frequent as the k-th (>= k keys; membership
+  // is j < bound since truth is sorted). For weighted_err it is unused and
+  // `mass` is the true top-k mass. `top` is the largest k a precision or
+  // recall selector reads: only that ranked prefix of each host's
+  // estimates is ever looked at.
+  struct Scored {
+    HhSelector::Kind kind;
+    int k;
+    int bound = 0;
+    double mass = 0.0;
+  };
+  std::vector<Scored> scored;
+  int top = 0;
+  for (const HhSelector& sel : selectors) {
+    Scored s{sel.kind, std::min(sel.k, m)};
+    if (sel.kind == HhSelector::Kind::kWeightedErr) {
+      for (int j = 0; j < s.k; ++j) s.mass += truth[j].second;
+    } else {
+      const double kth = truth[s.k - 1].second;
+      s.bound = s.k;
+      while (s.bound < m && truth[s.bound].second >= kth) ++s.bound;
+      top = std::max(top, s.k);
+    }
+    scored.push_back(s);
+  }
+
   // Precompute every truth key's slots (and signs) once; the per-host pass
   // below is then pure array reads.
   const stream::SketchHash& hash = swarm.hash();
@@ -266,7 +304,7 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
   const int n = swarm.size();
   std::vector<double> est(m);
   std::vector<int> order(m);
-  std::vector<double> sum(selectors.size(), 0.0);
+  std::vector<double> sum(scored.size(), 0.0);
   double frontier_sum = 0.0;
   for (HostId id = 0; id < n; ++id) {
     const double* host = swarm.host_state(id);
@@ -295,49 +333,43 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
       for (int j = 0; j < m; ++j) err += std::abs(est[j] - truth[j].second);
       frontier_sum += err / total;
     }
-    if (!selectors.empty()) {
+    if (top > 0) {
+      // Estimate descending, then key ascending: a strict total order, so
+      // the ranked prefix equals that of a full sort.
       std::iota(order.begin(), order.end(), 0);
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        return est[a] != est[b] ? est[a] > est[b]
-                                : truth[a].first < truth[b].first;
-      });
-      for (size_t s = 0; s < selectors.size(); ++s) {
-        const int k = std::min(selectors[s].k, m);
-        if (selectors[s].name == "hh_weighted_err") {
-          double err = 0.0;
-          double mass = 0.0;
-          for (int j = 0; j < k; ++j) {
-            err += std::abs(est[j] - truth[j].second);
-            mass += truth[j].second;
-          }
-          sum[s] += err / mass;
-          continue;
+      std::partial_sort(order.begin(), order.begin() + top, order.end(),
+                        [&](int a, int b) {
+                          return est[a] != est[b]
+                                     ? est[a] > est[b]
+                                     : truth[a].first < truth[b].first;
+                        });
+    }
+    for (size_t s = 0; s < scored.size(); ++s) {
+      const Scored& sel = scored[s];
+      if (sel.kind == HhSelector::Kind::kWeightedErr) {
+        double err = 0.0;
+        for (int j = 0; j < sel.k; ++j) {
+          err += std::abs(est[j] - truth[j].second);
         }
-        // Tie-inclusive true heavy-hitter set: every key at least as
-        // frequent as the k-th (|T| >= k). Membership is j < t_size since
-        // truth is sorted.
-        const double kth = truth[k - 1].second;
-        int t_size = k;
-        while (t_size < m && truth[t_size].second >= kth) ++t_size;
-        int inter = 0;
-        for (int j = 0; j < k; ++j) {
-          if (order[j] < t_size) ++inter;
-        }
-        sum[s] += selectors[s].name == "hh_precision"
-                      ? static_cast<double>(inter) / k
-                      : static_cast<double>(inter) / t_size;
+        sum[s] += err / sel.mass;
+        continue;
       }
+      int inter = 0;
+      for (int j = 0; j < sel.k; ++j) {
+        if (order[j] < sel.bound) ++inter;
+      }
+      sum[s] += sel.kind == HhSelector::Kind::kPrecision
+                    ? static_cast<double>(inter) / sel.k
+                    : static_cast<double>(inter) / sel.bound;
     }
   }
   // Emission order follows the spec's record list, so column order is
   // spec-declared like every other selector family.
   size_t next = 0;
   for (const MetricSpec& metric : spec.metrics) {
-    if (metric.name == "hh_precision" || metric.name == "hh_recall" ||
-        metric.name == "hh_weighted_err") {
+    if (HhSelectorKind(metric.name)) {
       // ParseHhSelectors collected the hh_* metrics in this same order.
-      rec.AddScalar(selectors[next].name + "_" +
-                        std::to_string(selectors[next].k),
+      rec.AddScalar(metric.name + "_" + std::to_string(selectors[next].k),
                     sum[next] / n);
       ++next;
     } else if (want_frontier && metric.name == "hh_frontier") {
@@ -394,8 +426,9 @@ Result<SwarmHandle> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env,
   h.set_meter = [raw](TrafficMeter* m) { raw->set_traffic_meter(m); };
   h.set_threads = [raw](int t) { raw->set_intra_round_threads(t); };
   h.on_join = [raw](HostId id) { raw->OnJoin(id); };
-  h.finish = [raw](const TrialContext& c, Recorder& rec) {
-    return FinishHeavyHitters(*raw, c, rec);
+  h.finish = [raw, selectors = cfg.selectors](const TrialContext& c,
+                                              Recorder& rec) {
+    return FinishHeavyHitters(*raw, selectors, c, rec);
   };
   h.keepalive = std::move(swarm);
   return h;

@@ -33,6 +33,16 @@ echo "check.sh: smoke scenario output matches golden"
 diff -u bench/scenarios/golden/heavy_hitters.csv \
   "$BUILD_DIR/heavy_hitters_out.csv"
 echo "check.sh: heavy_hitters scenario output matches golden"
+# Sketch frontier: both sketch kinds (count-min and the signed
+# count-sketch-freq) over an epsilon sweep, scored by hh_frontier and
+# hh_weighted_err — the unranked scoring path heavy_hitters does not
+# reach; see sketch_frontier.scenario for regeneration.
+"$BUILD_DIR"/dynagg_run --threads=2 \
+  --output="$BUILD_DIR/sketch_frontier_out.csv" \
+  bench/scenarios/sketch_frontier.scenario
+diff -u bench/scenarios/golden/sketch_frontier.csv \
+  "$BUILD_DIR/sketch_frontier_out.csv"
+echo "check.sh: sketch_frontier scenario output matches golden"
 # Async smoke: the loss-rate x protocol grid on the async driver (network
 # models, message-level scheduling, push-sum vs push-flow under drops)
 # must execute and reproduce its golden byte-for-byte; see
