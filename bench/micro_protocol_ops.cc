@@ -60,8 +60,8 @@ BENCHMARK(BM_PushSumSwarmRound)->Arg(1000)->Arg(10000)->Arg(100000);
 // The Environment API v2 before/after pair that BENCH_roundkernel.json
 // tracks (tools/bench.sh): a push-mode push-sum round over a uniform
 // environment, per-host virtual SamplePeer (the pre-refactor structure,
-// replicated below) vs the shared plan -> apply kernel at 1 and N scatter
-// threads. RNG draws and results are identical; only the structure differs.
+// replicated below) vs the shared plan -> apply kernel. RNG draws and
+// results are identical; only the structure differs.
 
 /// Pre-refactor reference round: emit, one virtual SamplePeer per host
 /// (each deposit's address serialized behind its partner draw), deposit.
@@ -93,7 +93,6 @@ void BM_PushRoundKernel(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::vector<double> values(n, 1.0);
   PushSumSwarm swarm(values, GossipMode::kPush);
-  swarm.set_intra_round_threads(static_cast<int>(state.range(1)));
   UniformEnvironment env(n);
   Population pop(n);
   Rng rng(1);
@@ -136,14 +135,7 @@ void BM_ChurnedPushRound(benchmark::State& state) {
 }
 BENCHMARK(BM_ChurnedPushRound)->Arg(100000);
 
-BENCHMARK(BM_PushRoundKernel)
-    ->Args({10000, 1})
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 4})
-    ->Args({1000000, 1})
-    ->Args({1000000, 2})
-    ->Args({1000000, 4});
+BENCHMARK(BM_PushRoundKernel)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 /// Pre-refactor reference push/pull round: shuffle, then one virtual
 /// SamplePeer per host with both exchange-side node accesses serialized

@@ -76,17 +76,10 @@ void FullTransferSwarm::RunRound(const Environment& env,
   if (meter_ != nullptr) {
     meter_->RecordMessages(plan.CountMatched(), kMassMessageBytes);
   }
-  if (!kernel_.parallel_deposits()) {
-    kernel_.ForEachPushSlot(
-        [this](HostId src) { return EmitParcelAt(src); },
-        [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
-        [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
-  } else {
-    kernel_.EmitAndScatter(
-        &outbox_, /*self_echo=*/false, size(),
-        [this](HostId src) { return EmitParcelAt(src); },
-        [this](HostId dst, const Mass& m) { inbox_[dst] += m; });
-  }
+  kernel_.ForEachPushSlot(
+      [this](HostId src) { return EmitParcelAt(src); },
+      [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
+      [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
   // On a never-mutated population alive_ids is every host: fold over the
   // index range directly (no id indirection in the hot loop).
   if (pop.version() == 0) {

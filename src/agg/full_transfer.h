@@ -129,12 +129,6 @@ class FullTransferSwarm {
   /// Optionally records over-the-air traffic.
   void set_traffic_meter(TrafficMeter* meter) { meter_ = meter; }
 
-  /// Worker threads for the parcel deposit scatter (bit-identical at any
-  /// count).
-  void set_intra_round_threads(int threads) {
-    kernel_.set_intra_round_threads(threads);
-  }
-
  private:
   // Element-wise replicas of the FullTransferNode round steps.
   Mass EmitParcelAt(HostId i) {
@@ -176,7 +170,6 @@ class FullTransferSwarm {
   FullTransferParams params_;
   TrafficMeter* meter_ = nullptr;
   RoundKernel kernel_;
-  std::vector<Mass> outbox_;  // scratch: per-slot parcels
 };
 
 }  // namespace dynagg

@@ -18,38 +18,24 @@ void PushSumSwarm::RunRound(const Environment& env, const Population& pop,
     // All emissions are simultaneous: plan the partners, then emit and
     // deposit the halves (self inbox + partner inbox, or both to the
     // sender when it has no reachable peer), then every host adopts its
-    // inbox. Sequentially the emit/deposit pass is fused with destination
-    // prefetch; with intra-round threads the halves are taken first and
-    // scattered data-parallel — bit-identical either way.
+    // inbox. The emit/deposit pass is fused with destination prefetch.
     const PartnerPlan& plan = kernel_.PlanPushRound(env, pop, rng);
     if (meter_ != nullptr) {
       meter_->RecordMessages(plan.CountMatched(), kMassMessageBytes);
     }
-    if (!kernel_.parallel_deposits()) {
-      kernel_.ForEachPushSlot(
-          [this](HostId src) {
-            // PushSumNode::EmitPushHalf on the SoA state: take the mass,
-            // deposit one half into the own inbox, hand the other half to
-            // the kernel for the partner deposit.
-            Mass& m = mass_[src];
-            const Mass half{m.weight * 0.5, m.value * 0.5};
-            m = Mass{};
-            inbox_[src] += half;
-            return half;
-          },
-          [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
-          [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
-    } else {
-      kernel_.EmitAndScatter(
-          &outbox_, /*self_echo=*/true, size(),
-          [this](HostId src) {
-            Mass& m = mass_[src];
-            const Mass half{m.weight * 0.5, m.value * 0.5};
-            m = Mass{};
-            return half;
-          },
-          [this](HostId dst, const Mass& m) { inbox_[dst] += m; });
-    }
+    kernel_.ForEachPushSlot(
+        [this](HostId src) {
+          // PushSumNode::EmitPushHalf on the SoA state: take the mass,
+          // deposit one half into the own inbox, hand the other half to
+          // the kernel for the partner deposit.
+          Mass& m = mass_[src];
+          const Mass half{m.weight * 0.5, m.value * 0.5};
+          m = Mass{};
+          inbox_[src] += half;
+          return half;
+        },
+        [this](HostId dst, const Mass& m) { inbox_[dst] += m; },
+        [this](HostId dst) { __builtin_prefetch(&inbox_[dst], 1); });
     // PushSumNode::EndRound: adopt the summed inbox. On a never-mutated
     // population alive_ids is every host, so the adoption collapses to an
     // array swap plus a clear — no copy pass at all.

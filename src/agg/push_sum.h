@@ -160,12 +160,6 @@ class PushSumSwarm {
   /// Pass nullptr to disable. The meter must outlive the swarm.
   void set_traffic_meter(TrafficMeter* meter) { meter_ = meter; }
 
-  /// Worker threads for the push-mode deposit scatter (bit-identical at
-  /// any count; push/pull rounds are inherently sequential and ignore it).
-  void set_intra_round_threads(int threads) {
-    kernel_.set_intra_round_threads(threads);
-  }
-
  private:
   // SoA per-host state; indexes are host ids.
   std::vector<Mass> mass_;
@@ -174,7 +168,6 @@ class PushSumSwarm {
   GossipMode mode_;
   TrafficMeter* meter_ = nullptr;
   RoundKernel kernel_;
-  std::vector<Mass> outbox_;  // scratch: per-slot push payloads
 };
 
 }  // namespace dynagg

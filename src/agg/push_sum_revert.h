@@ -191,12 +191,6 @@ class PushSumRevertSwarm {
   /// Optionally records over-the-air traffic (self-messages excluded).
   void set_traffic_meter(TrafficMeter* meter) { meter_ = meter; }
 
-  /// Worker threads for the push-mode deposit scatter (bit-identical at
-  /// any count; push/pull rounds are inherently sequential and ignore it).
-  void set_intra_round_threads(int threads) {
-    kernel_.set_intra_round_threads(threads);
-  }
-
  private:
   // Element-wise replicas of the PushSumRevertNode round steps.
   Mass TakePushHalfAt(HostId i) {
@@ -244,7 +238,6 @@ class PushSumRevertSwarm {
   PsrParams params_;
   TrafficMeter* meter_ = nullptr;
   RoundKernel kernel_;
-  std::vector<Mass> outbox_;  // scratch: per-slot push payloads
 };
 
 }  // namespace dynagg

@@ -62,13 +62,6 @@ class DynamicCdfSwarm {
   double threshold(int t) const { return params_.thresholds[t]; }
   int size() const { return instances_.front()->size(); }
 
-  /// Forwards the round kernel's scatter thread count to every instance.
-  void set_intra_round_threads(int threads) {
-    for (auto& instance : instances_) {
-      instance->set_intra_round_threads(threads);
-    }
-  }
-
  private:
   QuantileParams params_;
   // One PSR instance per threshold; unique_ptr keeps swarms stable.

@@ -41,10 +41,6 @@ const char* CounterName(Counter counter) {
       return "deposit_bytes";
     case Counter::kEarlyStopRounds:
       return "early_stop_rounds";
-    case Counter::kPoolDispatchNs:
-      return "pool_dispatch_ns";
-    case Counter::kPoolWaitNs:
-      return "pool_wait_ns";
     case Counter::kChurnJoins:
       return "churn_joins";
     case Counter::kChurnRebirths:

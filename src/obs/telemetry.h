@@ -24,10 +24,8 @@
 // into the simulation: enabling it cannot perturb any recorded metric.
 //
 // Threading: the sink pointer is thread-local and each unit runs on one
-// executor worker, so TrialTelemetry needs no synchronization. Threads the
-// engine spawns *inside* a round (ScatterDeposits workers) carry a null
-// sink and record nothing — the scatter phase is timed around the whole
-// fork/join by the spawning thread.
+// executor worker (rounds run on that thread), so TrialTelemetry needs no
+// synchronization.
 
 #ifndef DYNAGG_OBS_TELEMETRY_H_
 #define DYNAGG_OBS_TELEMETRY_H_
@@ -43,7 +41,7 @@ enum class Phase : int {
   kSetup = 0,  // environment + swarm construction, pre-round-loop work
   kPlan,       // Environment::BuildPlan (partner planning)
   kApply,      // protocol apply walk (pairwise exchanges / payload emit)
-  kScatter,    // RoundKernel::ScatterDeposits (destination-sharded deposits)
+  kScatter,    // RoundKernel::ScatterDeposits (split payload deposits)
   kRecord,     // metric evaluation (on_round_end, trace samples, finish)
 };
 constexpr int kNumPhases = 5;
@@ -63,13 +61,11 @@ enum class Counter : int {
   kGossipExchanges,       // partner slots planned across all rounds
   kDepositBytes,          // payload bytes scattered by push-mode rounds
   kEarlyStopRounds,       // budgeted rounds skipped by early convergence
-  kPoolDispatchNs,        // worker-pool fork/join wall ns (whole dispatch)
-  kPoolWaitNs,            // ns the dispatcher idled waiting on pool workers
   kChurnJoins,            // first-time arrivals admitted by churn plans
   kChurnRebirths,         // state-reset ID-reuse rebirths from churn plans
   kRecordEvaluations,     // rounds / async samples whose RMS was evaluated
 };
-constexpr int kNumCounters = 12;
+constexpr int kNumCounters = 10;
 
 /// Stable counter name ("plan_cache_hits", ...), used for summary columns.
 const char* CounterName(Counter counter);
@@ -79,17 +75,12 @@ const char* CounterName(Counter counter);
 int64_t NowNs();
 
 /// One closed span, recorded only in profile mode. Phase spans carry the
-/// round they ran under (-1 = outside the round loop, e.g. setup). Pool
-/// spans nest inside the scatter phase and are deliberately NOT phases:
-/// the executor's span_cover_pct sums all phase_ns, so a nested phase
-/// would double-count coverage — the pool reports through the
-/// pool_dispatch_ns / pool_wait_ns counters instead, plus these trace-only
-/// spans (phase 0 = dispatch, 1 = wait) in profile mode.
+/// round they ran under (-1 = outside the round loop, e.g. setup).
 struct SpanEvent {
-  enum Kind : uint8_t { kTrial = 0, kRound = 1, kPhase = 2, kPool = 3 };
+  enum Kind : uint8_t { kTrial = 0, kRound = 1, kPhase = 2 };
   uint8_t kind = kTrial;
-  uint8_t phase = 0;   // Phase for kPhase; 0=dispatch/1=wait for kPool
-  int32_t round = -1;  // meaningful for kRound / kPhase / kPool
+  uint8_t phase = 0;   // Phase for kPhase
+  int32_t round = -1;  // meaningful for kRound / kPhase
   int64_t start_ns = 0;
   int64_t dur_ns = 0;
 };

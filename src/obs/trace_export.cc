@@ -49,8 +49,6 @@ std::string SpanName(const SpanEvent& event, const TrialTelemetry& unit) {
       return buf;
     case SpanEvent::kPhase:
       return PhaseName(static_cast<Phase>(event.phase));
-    case SpanEvent::kPool:
-      return event.phase == 0 ? "pool_dispatch" : "pool_wait";
   }
   return "span";
 }
@@ -63,8 +61,6 @@ const char* SpanCategory(const SpanEvent& event) {
       return "round";
     case SpanEvent::kPhase:
       return "phase";
-    case SpanEvent::kPool:
-      return "pool";
   }
   return "span";
 }

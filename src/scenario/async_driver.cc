@@ -259,11 +259,6 @@ Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
                    "protocols declare send/deliver hooks — see `dynagg_run "
                    "--list`)");
   }
-  if (spec.intra_round_threads > 1) {
-    return invalid(
-        "message-level delivery is inherently sequential; "
-        "intra_round_threads does not apply");
-  }
   if (spec.sample_period > 0) {
     return invalid(
         "sample_period does not apply (metrics are sampled once per gossip "

@@ -59,22 +59,6 @@ namespace dynagg {
 namespace scenario {
 namespace {
 
-/// Wires the top-level intra_round_threads knob into the swarm's round
-/// kernel. The scatter is bit-identical at any thread count, so this only
-/// changes wall-clock; protocols without a data-parallel apply phase reject
-/// values > 1 rather than silently ignoring the key.
-Status ApplyIntraRoundThreads(const ScenarioSpec& spec,
-                              const SwarmHandle& swarm) {
-  if (spec.intra_round_threads <= 1) return Status::OK();
-  if (!swarm.set_threads) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' does not support intra_round_threads");
-  }
-  swarm.set_threads(spec.intra_round_threads);
-  return Status::OK();
-}
-
 // ----------------------------------------------------------- rounds ---
 
 /// Swarm adapter slotted into RunRounds: advances trace-backed
@@ -146,7 +130,6 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
 
   DYNAGG_RETURN_IF_ERROR(CheckRecordWindows(spec, metrics, cfg));
 
-  DYNAGG_RETURN_IF_ERROR(ApplyIntraRoundThreads(spec, swarm));
   TrafficMeter meter;
   if (metrics.bandwidth) {
     if (!swarm.set_meter) {
@@ -391,15 +374,7 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
 Status RunRoundsDriver(const TrialContext& ctx, const ProtocolDef& def,
                        Recorder& rec) {
   // Whole-trial protocols own their loop; the rounds driver is their host.
-  if (def.run_custom) {
-    if (ctx.spec->intra_round_threads > 1) {
-      return Status::InvalidArgument(
-          "protocol '" + ctx.spec->protocol +
-          "' owns its whole trial loop and does not support "
-          "intra_round_threads");
-    }
-    return def.run_custom(ctx, rec);
-  }
+  if (def.run_custom) return def.run_custom(ctx, rec);
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
@@ -447,7 +422,6 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
         "protocol '" + spec.protocol +
         "' does not support driver = trace (no group-truth hook)");
   }
-  DYNAGG_RETURN_IF_ERROR(ApplyIntraRoundThreads(spec, swarm));
   if (want_gossip_bytes && swarm.gossip_bytes < 0) {
     return Status::InvalidArgument(
         "protocol '" + spec.protocol +

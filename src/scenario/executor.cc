@@ -26,7 +26,7 @@ namespace {
 Result<ScenarioSpec> ApplySweepKey(const ScenarioSpec& spec,
                                    const std::string& key, double value) {
   ScenarioSpec out = spec;
-  if (key == "hosts" || key == "rounds" || key == "intra_round_threads") {
+  if (key == "hosts" || key == "rounds") {
     const auto v = static_cast<int64_t>(value);
     if (v <= 0 || static_cast<double>(v) != value) {
       return Status::InvalidArgument("sweep over " + key +
@@ -34,9 +34,6 @@ Result<ScenarioSpec> ApplySweepKey(const ScenarioSpec& spec,
     }
     if (key == "hosts") out.hosts = static_cast<int>(v);
     if (key == "rounds") out.rounds = static_cast<int>(v);
-    if (key == "intra_round_threads") {
-      out.intra_round_threads = static_cast<int>(v);
-    }
   } else {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
@@ -708,24 +705,6 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
   if (environment.validate && protocol.uses_environment && !sweep1_hosts &&
       !sweep2_hosts) {
     DYNAGG_RETURN_IF_ERROR(environment.validate(spec));
-  }
-  if (spec.intra_round_threads < 1) {
-    return invalid("intra_round_threads must be >= 1");
-  }
-  if (spec.intra_round_threads > 1 && !protocol.threads_capable) {
-    return invalid("protocol '" + spec.protocol +
-                   "' does not support intra_round_threads (no "
-                   "data-parallel apply phase)");
-  }
-  // A swept thread count must be usable at every value, not just the base.
-  if (!protocol.threads_capable) {
-    for (const std::string& key : {spec.sweep_key, spec.sweep2_key}) {
-      if (key == "intra_round_threads") {
-        return invalid("protocol '" + spec.protocol +
-                       "' does not support intra_round_threads (no "
-                       "data-parallel apply phase); it cannot be swept");
-      }
-    }
   }
   if (!spec.telemetry.empty() && spec.telemetry != "off" &&
       spec.telemetry != "summary" && spec.telemetry != "profile") {

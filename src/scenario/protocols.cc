@@ -193,15 +193,6 @@ void MaybeSetMeter(SwarmHandle& h, Swarm* swarm) {
   }
 }
 
-/// Wires the round kernel's intra-round thread hook when the swarm type has
-/// one (push-scatter protocols; see sim/round_kernel.h).
-template <typename Swarm>
-void MaybeSetThreads(SwarmHandle& h, Swarm* swarm) {
-  if constexpr (requires(Swarm& s, int t) { s.set_intra_round_threads(t); }) {
-    h.set_threads = [swarm](int t) { swarm->set_intra_round_threads(t); };
-  }
-}
-
 /// Wires the churn-join reset hook when the swarm type has one. Protocols
 /// whose swarm exposes OnJoin must also register join_capable = true so
 /// `--dry-run` can vet churn.* specs without building swarms.
@@ -245,7 +236,6 @@ SwarmHandle AveragingHandle(std::shared_ptr<Box> box, double state_bytes) {
   h.failure_values = values;
   h.state_bytes = state_bytes;
   MaybeSetMeter(h, swarm);
-  MaybeSetThreads(h, swarm);
   MaybeSetOnJoin(h, swarm);
   h.keepalive = std::move(box);
   return h;
@@ -285,7 +275,6 @@ SwarmHandle CountingHandle(std::shared_ptr<Box> box, double state_bytes) {
   };
   h.state_bytes = state_bytes;
   MaybeSetMeter(h, swarm);
-  MaybeSetThreads(h, swarm);
   MaybeSetOnJoin(h, swarm);
   h.keepalive = std::move(box);
   return h;
@@ -448,7 +437,6 @@ Result<SwarmHandle> MakeExtremes(const TrialContext& ctx, EnvHandle& env) {
   h.failure_values = values;
   h.state_bytes = 0.0;
   MaybeSetMeter(h, swarm);
-  MaybeSetThreads(h, swarm);
   MaybeSetOnJoin(h, swarm);
   h.keepalive = std::move(box);
   return h;
@@ -800,7 +788,6 @@ Result<SwarmHandle> MakeInvertAverage(const TrialContext& ctx,
       SketchGossipBytes(params.csr.bins, params.csr.levels, 1) +
       static_cast<double>(attributes) * 2.0 * (2.0 * sizeof(double));
   MaybeSetMeter(h, swarm);
-  MaybeSetThreads(h, swarm);
   MaybeSetOnJoin(h, swarm);
   h.keepalive = std::move(box);
   return h;
@@ -943,7 +930,6 @@ Result<SwarmHandle> MakeNodeAggregator(const TrialContext& ctx,
   h.state_bytes = 3.0 * sizeof(double) +
                   static_cast<double>(config.csr.bins) * config.csr.levels;
   MaybeSetMeter(h, swarm);
-  MaybeSetThreads(h, swarm);
   h.keepalive = std::move(box);
   return h;
 }
@@ -1257,19 +1243,15 @@ Status RunExtremeRecovery(const TrialContext& ctx, Recorder& rec) {
 namespace internal {
 
 void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
-  // threads_capable marks the push-scatter protocols whose swarms expose
-  // set_intra_round_threads; exchange-only rounds are inherently
-  // sequential. Every entry carries a spec-only validate hook so
-  // `--dry-run` rejects knob/protocol mismatches without building swarms.
+  // Every entry carries a spec-only validate hook so `--dry-run` rejects
+  // knob/protocol mismatches without building swarms.
   const auto swarm = [&registry](const std::string& name, SwarmFactory make,
-                                 bool trace_capable, bool threads_capable,
-                                 bool join_capable,
+                                 bool trace_capable, bool join_capable,
                                  std::function<Status(const ScenarioSpec&)>
                                      validate) {
     ProtocolDef def;
     def.make_swarm = std::move(make);
     def.trace_capable = trace_capable;
-    def.threads_capable = threads_capable;
     def.join_capable = join_capable;
     def.validate = std::move(validate);
     DYNAGG_CHECK(registry.Register(name, std::move(def)).ok());
@@ -1289,7 +1271,6 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
     ProtocolDef def;
     def.make_swarm = MakePushSum;
     def.trace_capable = true;
-    def.threads_capable = true;
     def.async_capable = true;  // push mode only; the parse enforces it
     def.join_capable = true;
     def.validate = SpecValidator(ParsePushSumSpec);
@@ -1299,32 +1280,25 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
     ProtocolDef def;
     def.make_swarm = MakePushFlow;
     def.trace_capable = true;
-    def.threads_capable = false;
     def.async_capable = true;
     def.join_capable = true;
     def.validate = ParsePushFlowSpec;
     DYNAGG_CHECK(registry.Register("push-flow", std::move(def)).ok());
   }
   swarm("push-sum-revert", MakePushSumRevert, /*trace_capable=*/true,
-        /*threads_capable=*/true, /*join_capable=*/true,
-        SpecValidator(ParsePsrSpec));
+        /*join_capable=*/true, SpecValidator(ParsePsrSpec));
   swarm("epoch-push-sum", MakeEpochPushSum, /*trace_capable=*/true,
-        /*threads_capable=*/false, /*join_capable=*/true,
-        SpecValidator(ParseEpochSpec));
+        /*join_capable=*/true, SpecValidator(ParseEpochSpec));
   swarm("full-transfer", MakeFullTransfer, /*trace_capable=*/true,
-        /*threads_capable=*/true, /*join_capable=*/true,
-        SpecValidator(ParseFullTransferSpec));
+        /*join_capable=*/true, SpecValidator(ParseFullTransferSpec));
   swarm("extremes", MakeExtremes, /*trace_capable=*/false,
-        /*threads_capable=*/false, /*join_capable=*/true,
-        SpecValidator(ParseExtremesSpec));
+        /*join_capable=*/true, SpecValidator(ParseExtremesSpec));
   swarm("count-sketch", MakeCountSketch, /*trace_capable=*/true,
-        /*threads_capable=*/false, /*join_capable=*/true,
-        SpecValidator(ParseCountSketchSpec));
+        /*join_capable=*/true, SpecValidator(ParseCountSketchSpec));
   {
     ProtocolDef def;
     def.make_swarm = MakeCountSketchReset;
     def.trace_capable = true;
-    def.threads_capable = false;
     def.join_capable = true;
     def.validate = SpecValidator(ParseCsrSpec);
     def.models_gossip_bytes = true;
@@ -1337,7 +1311,6 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
   {
     ProtocolDef def;
     def.make_swarm = MakeInvertAverage;
-    def.threads_capable = true;
     def.join_capable = true;
     def.models_gossip_bytes = true;
     def.validate = SpecValidator(ParseInvertAverageSpec);
@@ -1346,8 +1319,7 @@ void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
   // The serialized facade has no state-reset wire message yet, so it stays
   // join-incapable (churn.* specs are rejected at --dry-run).
   swarm("node-aggregator", MakeNodeAggregator, /*trace_capable=*/false,
-        /*threads_capable=*/false, /*join_capable=*/false,
-        SpecValidator(ParseNodeAggregatorSpec));
+        /*join_capable=*/false, SpecValidator(ParseNodeAggregatorSpec));
   custom("tag-tree", RunTagTree, SpecValidator(ParseTagTreeSpec));
   // Sweeps sketch parameters over synthetic multisets: no gossip topology,
   // so the spec's environment is never built (or validated).

@@ -18,8 +18,15 @@ std::string_view Trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+// Built by appends rather than `"'" + std::string(s) + "'"`: GCC 12 at -O3
+// misreports that concatenation as an overlapping memcpy (-Werror=restrict).
 std::string Quoted(std::string_view s) {
-  return "'" + std::string(s) + "'";
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.append(1, '\'');
+  out.append(s);
+  out.append(1, '\'');
+  return out;
 }
 
 }  // namespace
@@ -209,11 +216,10 @@ Status ParseSweepSpec(const std::string& value, const std::string& what,
   }
   const std::string sweep_key(Trim(value.substr(0, colon)));
   if (sweep_key != "hosts" && sweep_key != "rounds" &&
-      sweep_key != "intra_round_threads" && !IsNamespacedKey(sweep_key)) {
+      !IsNamespacedKey(sweep_key)) {
     return Status::InvalidArgument(
         what + " key " + Quoted(sweep_key) +
-        " is not sweepable (use hosts, rounds, intra_round_threads, or a "
-        "namespaced parameter)");
+        " is not sweepable (use hosts, rounds, or a namespaced parameter)");
   }
   DYNAGG_ASSIGN_OR_RETURN(
       const std::vector<std::string> items,
@@ -332,14 +338,6 @@ Status ApplyKey(ScenarioSpec* spec, const std::string& key,
                               key + " must be > 0 (seconds)"));
     }
     (key == "gossip_period" ? spec->gossip_period : spec->sample_period) = *v;
-  } else if (key == "intra_round_threads") {
-    Result<int64_t> v = ParseInt64(value);
-    if (!v.ok()) return AtLine(line, v.status());
-    if (*v < 1) {
-      return AtLine(line, Status::InvalidArgument(
-                              "intra_round_threads must be >= 1"));
-    }
-    spec->intra_round_threads = static_cast<int>(*v);
   } else if (key == "telemetry") {
     if (value != "off" && value != "summary" && value != "profile") {
       return AtLine(line, Status::InvalidArgument(

@@ -89,10 +89,9 @@ struct ScenarioSpec {
   /// Trace driver: seconds between metric samples (default 3600, the
   /// paper's hourly reporting). 0 = unset; same validation rule.
   double sample_period = 0.0;
-  /// Worker threads for the round kernel's intra-round deposit scatter
-  /// (push-mode protocols; see sim/round_kernel.h). Output is bit-identical
-  /// at any value — this is purely a wall-clock knob for big single trials.
-  /// Protocols that cannot use it reject values > 1.
+  /// Always 1: no spec key or sweep writes this field, and rounds run on
+  /// one thread. It remains only because the end-to-end benchmark harness
+  /// (e2ebench/e2e_trace.cc) reads it; drop it with that read.
   int intra_round_threads = 1;
   /// Population size. 0 means "derive from the environment" (allowed for
   /// environments with intrinsic size, e.g. spatial grids and traces).

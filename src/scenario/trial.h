@@ -311,10 +311,6 @@ struct SwarmHandle {
   /// Attaches a traffic meter for the bandwidth metric; null = the
   /// protocol cannot measure traffic.
   std::function<void(TrafficMeter*)> set_meter;
-  /// Sets the round kernel's intra-round scatter thread count (the
-  /// top-level `intra_round_threads` key); null = the protocol has no
-  /// data-parallel apply phase, and the drivers reject values > 1.
-  std::function<void(int)> set_threads;
   /// Initializes the state of host `id` when a churn plan activates it —
   /// first arrivals and rebirths with ID reuse both land here, and the
   /// reset must touch only the joining host's own slots (no RNG, no
@@ -372,11 +368,6 @@ struct ProtocolDef {
   /// Whether the factory provides the group hooks `driver = trace` needs.
   /// Static so `--dry-run` can reject trace specs without building swarms.
   bool trace_capable = false;
-  /// Whether the built swarm exposes the round kernel's data-parallel
-  /// apply hook (SwarmHandle::set_threads). Static so `--dry-run` can
-  /// reject `intra_round_threads > 1` on exchange-only and custom
-  /// protocols without building swarms.
-  bool threads_capable = false;
   /// Whether the built swarm sets SwarmHandle::gossip_bytes (the analytic
   /// payload model). Static so `--dry-run` can reject `record =
   /// gossip_bytes` on protocols without a model.

@@ -9,12 +9,14 @@
 //             (Environment::BuildPlan — batched, cache-reusing, and
 //             bit-identical in Rng consumption to per-host SamplePeer).
 //   2. APPLY  The protocol walks the plan's flat arrays: sequential
-//             pairwise exchanges for push/pull protocols, or an
-//             emit-then-scatter deposit pass for push-mode protocols. The
-//             scatter can run data-parallel over destination shards
-//             (set_intra_round_threads) while preserving the exact
-//             per-destination deposit order, so N-thread rounds are
-//             bit-identical to 1-thread rounds.
+//             pairwise exchanges for push/pull protocols, or a fused
+//             emit-and-deposit pass for push-mode protocols that
+//             prefetches each destination a few slots ahead.
+//
+// Rounds run on one thread. A push round is one memory-bound scatter, and
+// a destination-sharded parallel scatter measured slower than this fused
+// loop at every thread count; cores are used one level up, where the
+// executor runs trials and sweep points concurrently.
 //
 // This replaces the per-protocol shuffle/SamplePeer/emit/deposit loops the
 // src/agg/ swarms used to copy, and it is what makes a 100k-host round
@@ -37,7 +39,6 @@
 #include "env/partner_plan.h"
 #include "obs/telemetry.h"
 #include "sim/population.h"
-#include "sim/worker_pool.h"
 
 namespace dynagg {
 
@@ -50,24 +51,6 @@ void ShuffledAliveOrder(const Population& pop, Rng& rng,
 class RoundKernel {
  public:
   RoundKernel() = default;
-
-  /// Number of worker threads for the data-parallel deposit scatter.
-  /// 1 (default) applies sequentially; N > 1 shards destinations over N
-  /// workers with bit-identical results. Plans are always built
-  /// single-threaded (the Rng is inherently sequential).
-  void set_intra_round_threads(int threads) {
-    DYNAGG_CHECK_GE(threads, 1);
-    threads_ = threads;
-  }
-  int intra_round_threads() const { return threads_; }
-
-  /// Whether push-mode rounds should take the split take + ScatterDeposits
-  /// path (true) or the fused sequential ForEachPushSlot path (false). The
-  /// configured thread count is clamped to WorkerPool::VisibleCpus():
-  /// time-slicing T scatter workers on fewer cores is measurably slower
-  /// than the fused loop, so `intra_round_threads = 4` on a 1-CPU host
-  /// runs the fused path and stays bit-identical by construction.
-  bool parallel_deposits() const { return ClampedThreads() > 1; }
 
   // ------------------------------------------------------------- plan ---
 
@@ -146,9 +129,7 @@ class RoundKernel {
   /// every destination, the loop prefetches `prefetch(dst)` a few slots
   /// ahead, overlapping the scatter's random-access latency — the main
   /// single-thread win of plan-then-apply (the legacy loop serialized each
-  /// deposit's address behind its partner draw). Use this when
-  /// intra_round_threads == 1; the split TakeHalf + ScatterDeposits path
-  /// covers the data-parallel case.
+  /// deposit's address behind its partner draw).
   template <typename EmitFn, typename DepositFn, typename PrefetchFn>
   void ForEachPushSlot(EmitFn&& emit, DepositFn&& deposit,
                        PrefetchFn&& prefetch) const {
@@ -188,129 +169,38 @@ class RoundKernel {
     }
   }
 
-  /// Deposit scatter for push-mode protocols. Slot `k`'s payload
-  /// `payloads[k]` is deposited to the slot's initiator first when
-  /// `self_echo` is set (the push protocols' half-kept-to-self message) and
-  /// then to its effective partner (the initiator again when no peer was
-  /// reachable). `deposit(dst, payload)` must only mutate state owned by
-  /// `dst`.
-  ///
-  /// Determinism: with T > 1 threads the deposit events are bucketed by
-  /// destination shard in ONE sequential pass over the slots (within a
-  /// shard, events keep slot order, self echo before partner), then each
-  /// worker walks only its own bucket — every destination belongs to
-  /// exactly one shard, so it sees its deposits in exactly the sequential
-  /// order and floating-point accumulation is bit-identical at any thread
-  /// count.
+  /// Deposit scatter for push-mode protocols whose payloads were taken
+  /// beforehand. Slot `k`'s payload `payloads[k]` is deposited to the
+  /// slot's initiator first when `self_echo` is set (the push protocols'
+  /// half-kept-to-self message) and then to its effective partner (the
+  /// initiator again when no peer was reachable), sequentially in plan
+  /// order — the same per-destination order, and so the same bits, as
+  /// ForEachPushSlot. The swarms use the fused loop; this split form is
+  /// kept for probing the scatter on its own.
   template <typename Payload, typename DepositFn>
   void ScatterDeposits(const std::vector<Payload>& payloads, bool self_echo,
-                       int num_hosts, DepositFn&& deposit) const {
-    // The span covers the whole fork/join (bucket pass + workers + join);
-    // the spawned workers themselves carry no telemetry sink.
+                       [[maybe_unused]] int num_hosts,
+                       DepositFn&& deposit) const {
     obs::ScopedPhase span(obs::Phase::kScatter);
     const std::vector<HostId>& initiators = plan_.initiators();
     const std::vector<HostId>& partners = plan_.partners();
     DYNAGG_CHECK_EQ(payloads.size(), initiators.size());
     const size_t slots = initiators.size();
     // One payload per slot, as ForEachPushSlot counts it: the self echo
-    // re-delivers the slot's payload, so the count stays the same whichever
-    // path the intra-round thread count selects.
+    // re-delivers the slot's payload.
     obs::Count(obs::Counter::kDepositBytes,
                static_cast<int64_t>(slots * sizeof(Payload)));
-    const int threads = EffectiveThreads(num_hosts);
-    if (threads <= 1) {
-      for (size_t k = 0; k < slots; ++k) {
-        const HostId init = initiators[k];
-        const HostId partner = partners[k];
-        if (self_echo) deposit(init, payloads[k]);
-        deposit(partner == kInvalidHost ? init : partner, payloads[k]);
-      }
-      return;
-    }
-    // Bucket pass: worker w owns host ids in [num_hosts*w/T, ...).
-    DYNAGG_CHECK_LE(slots, size_t{UINT32_MAX});
-    shard_events_.resize(threads);
-    for (auto& events : shard_events_) events.clear();
-    const auto shard_of = [&](HostId dst) {
-      return static_cast<size_t>(static_cast<int64_t>(dst) * threads /
-                                 num_hosts);
-    };
     for (size_t k = 0; k < slots; ++k) {
       const HostId init = initiators[k];
       const HostId partner = partners[k];
-      if (self_echo) {
-        shard_events_[shard_of(init)].push_back(
-            {init, static_cast<uint32_t>(k)});
-      }
-      const HostId dst = partner == kInvalidHost ? init : partner;
-      shard_events_[shard_of(dst)].push_back(
-          {dst, static_cast<uint32_t>(k)});
+      if (self_echo) deposit(init, payloads[k]);
+      deposit(partner == kInvalidHost ? init : partner, payloads[k]);
     }
-    const auto walk = [&](int w) {
-      for (const DepositEvent& e : shard_events_[w]) {
-        deposit(e.dst, payloads[e.slot]);
-      }
-    };
-    // Persistent parked workers, shared by every kernel on this executor
-    // thread: waking the pool costs microseconds and allocates nothing,
-    // where the old per-round std::thread spawn paid creation + join +
-    // allocator traffic on every round.
-    WorkerPool::ForCallingThread(threads - 1).Run(threads, walk);
-  }
-
-  /// The data-parallel counterpart of ForEachPushSlot: fills `*outbox`
-  /// (caller-owned scratch, reused across rounds) with `take(initiator)`
-  /// per slot in plan order — `take` must NOT deposit anything — then
-  /// scatter-deposits it (self echo first when requested, exact
-  /// per-destination order, sharded over intra-round threads).
-  template <typename Payload, typename TakeFn, typename DepositFn>
-  void EmitAndScatter(std::vector<Payload>* outbox, bool self_echo,
-                      int num_hosts, TakeFn&& take,
-                      DepositFn&& deposit) const {
-    {
-      // The take loop is the round's apply phase; the scatter below times
-      // itself, keeping the two phases disjoint in the profile.
-      obs::ScopedPhase span(obs::Phase::kApply);
-      const std::vector<HostId>& initiators = plan_.initiators();
-      outbox->resize(initiators.size());
-      for (size_t k = 0; k < initiators.size(); ++k) {
-        (*outbox)[k] = take(initiators[k]);
-      }
-    }
-    ScatterDeposits(*outbox, self_echo, num_hosts, deposit);
   }
 
  private:
-  /// The configured thread count clamped to the CPUs the scheduler can
-  /// actually run us on (or the test override) — see parallel_deposits().
-  int ClampedThreads() const {
-    const int visible = WorkerPool::VisibleCpus();
-    return threads_ < visible ? threads_ : visible;
-  }
-
-  /// Thread count actually worth waking: tiny rounds stay sequential (the
-  /// bucket pass + wake would dominate), and more threads than hosts would
-  /// leave idle shards.
-  int EffectiveThreads(int num_hosts) const {
-    const int threads = ClampedThreads();
-    if (threads <= 1 || plan_.size() < kMinParallelSlots) return 1;
-    return threads < num_hosts ? threads : 1;
-  }
-
-  static constexpr size_t kMinParallelSlots = 4096;
-
-  /// One deposit of ScatterDeposits' bucket pass: payloads[slot] -> dst.
-  struct DepositEvent {
-    HostId dst;
-    uint32_t slot;
-  };
-
   PartnerPlan plan_;
   std::vector<HostId> order_;  // scratch for the shuffled initiator order
-  // Scratch for ScatterDeposits' per-shard event buckets, reused across
-  // rounds (mutable: scattering is logically const on the kernel).
-  mutable std::vector<std::vector<DepositEvent>> shard_events_;
-  int threads_ = 1;
 };
 
 }  // namespace dynagg

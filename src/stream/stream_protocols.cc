@@ -424,7 +424,6 @@ Result<SwarmHandle> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env,
   h.state_bytes = static_cast<double>(raw->message_bytes());
   h.gossip_bytes = static_cast<double>(raw->message_bytes());
   h.set_meter = [raw](TrafficMeter* m) { raw->set_traffic_meter(m); };
-  h.set_threads = [raw](int t) { raw->set_intra_round_threads(t); };
   h.on_join = [raw](HostId id) { raw->OnJoin(id); };
   h.finish = [raw, selectors = cfg.selectors](const TrialContext& c,
                                               Recorder& rec) {
@@ -444,7 +443,6 @@ void RegisterStreamProtocols(Registry<ProtocolDef>& registry) {
     def.make_swarm = [kind](const TrialContext& ctx, EnvHandle& env) {
       return MakeFreqSketch(ctx, env, kind);
     };
-    def.threads_capable = true;
     def.join_capable = true;
     def.models_gossip_bytes = true;
     def.consumes_workload = true;

@@ -73,36 +73,24 @@ void StreamSketchSwarm::RunRound(const Environment& env, const Population& pop,
   if (meter_ != nullptr) {
     meter_->RecordMessages(plan.CountMatched(), message_bytes());
   }
-  const auto deposit_from = [this](HostId dst, HostId src) {
-    const double* from = &state_[static_cast<size_t>(src) * stride_];
-    double* to = &inbox_[static_cast<size_t>(dst) * stride_];
-    for (size_t c = 0; c < stride_; ++c) to[c] += from[c];
-  };
-  if (!kernel_.parallel_deposits()) {
-    kernel_.ForEachPushSlot(
-        [this](HostId src) {
-          double* s = &state_[static_cast<size_t>(src) * stride_];
-          double* in = &inbox_[static_cast<size_t>(src) * stride_];
-          for (size_t c = 0; c < stride_; ++c) {
-            s[c] *= 0.5;
-            in[c] += s[c];  // the self-kept half
-          }
-          return src;
-        },
-        deposit_from,
-        [this](HostId dst) {
-          __builtin_prefetch(&inbox_[static_cast<size_t>(dst) * stride_], 1);
-        });
-  } else {
-    kernel_.EmitAndScatter(
-        &outbox_, /*self_echo=*/true, n_,
-        [this](HostId src) {
-          double* s = &state_[static_cast<size_t>(src) * stride_];
-          for (size_t c = 0; c < stride_; ++c) s[c] *= 0.5;
-          return src;
-        },
-        deposit_from);
-  }
+  kernel_.ForEachPushSlot(
+      [this](HostId src) {
+        double* s = &state_[static_cast<size_t>(src) * stride_];
+        double* in = &inbox_[static_cast<size_t>(src) * stride_];
+        for (size_t c = 0; c < stride_; ++c) {
+          s[c] *= 0.5;
+          in[c] += s[c];  // the self-kept half
+        }
+        return src;
+      },
+      [this](HostId dst, HostId src) {
+        const double* from = &state_[static_cast<size_t>(src) * stride_];
+        double* to = &inbox_[static_cast<size_t>(dst) * stride_];
+        for (size_t c = 0; c < stride_; ++c) to[c] += from[c];
+      },
+      [this](HostId dst) {
+        __builtin_prefetch(&inbox_[static_cast<size_t>(dst) * stride_], 1);
+      });
   if (pop.version() == 0) {
     state_.swap(inbox_);
     std::fill(inbox_.begin(), inbox_.end(), 0.0);

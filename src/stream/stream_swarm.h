@@ -18,9 +18,8 @@
 // single host.
 //
 // Determinism: arrivals are applied in alive order from per-(host, round)
-// RNG streams, and the kernel's scatter preserves exact per-destination
-// deposit order, so rounds are bit-identical at any intra_round_threads
-// count. Halving doubles is exact; sums are fixed-order.
+// RNG streams, and the kernel applies deposits sequentially in plan order.
+// Halving doubles is exact; sums are fixed-order.
 
 #ifndef DYNAGG_STREAM_STREAM_SWARM_H_
 #define DYNAGG_STREAM_STREAM_SWARM_H_
@@ -83,9 +82,6 @@ class StreamSketchSwarm {
   void set_track_truth(bool on) { track_truth_ = on; }
 
   void set_traffic_meter(TrafficMeter* meter) { meter_ = meter; }
-  void set_intra_round_threads(int threads) {
-    kernel_.set_intra_round_threads(threads);
-  }
 
   /// Churn-join reset: host `id` restarts with an empty sketch, weight 1
   /// and zero mass (the push-sum init state), and a cleared inbox. The
@@ -122,7 +118,6 @@ class StreamSketchSwarm {
   size_t stride_;  // cells + 2 (weight, mass)
   std::vector<double> state_;
   std::vector<double> inbox_;
-  std::vector<HostId> outbox_;         // EmitAndScatter payloads: source ids
   std::vector<uint64_t> batch_keys_;   // FillBatch scratch
   std::unordered_map<uint64_t, double> truth_;
   double truth_total_ = 0.0;

@@ -235,8 +235,6 @@ TEST(AsyncDriverTest, RejectsRoundDriverOnlyKnobs) {
       "driver = async\nprotocol = push-flow\nhosts = 16\n";
   ExpectDryRunError(base + "failure.kind = churn\n", "failure.");
   ExpectDryRunError(base + "sample_period = 4\n", "sample_period");
-  ExpectDryRunError(base + "intra_round_threads = 2\n",
-                    "intra_round_threads");
   ExpectDryRunError(base + "record = avg_group_size\n", "avg_group_size");
 }
 

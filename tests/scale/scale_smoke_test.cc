@@ -4,10 +4,9 @@
 // the perf trajectory; a full execution belongs to tools/bench.sh, not to
 // every ctest run. What CI must still catch cheaply:
 //   - the specs parse and pass ValidateExperiment (the --dry-run contract),
-//     with the shape the snapshot assumes (hosts, thread sweep);
+//     with the shape the snapshot assumes (hosts, a single point);
 //   - a downsized execution of the same spec shape runs end-to-end through
-//     the executor and is bit-identical across the thread sweep, with the
-//     worker pool forced onto the sharded path.
+//     the executor and is bit-identical at 1 and 4 executor threads.
 // These run in the plain suite too (they finish in well under a second);
 // the `scale` label lets the Release CI lane and humans invoke exactly
 // this slice with `ctest -L scale`.
@@ -23,7 +22,6 @@
 #include "common/stats.h"
 #include "scenario/executor.h"
 #include "scenario/spec.h"
-#include "sim/worker_pool.h"
 
 namespace dynagg {
 namespace scenario {
@@ -45,19 +43,11 @@ ScenarioSpec MustParseRepoScenario(const std::string& relative) {
   return (*specs)[0];
 }
 
-class ScopedVisibleCpus {
- public:
-  explicit ScopedVisibleCpus(int n) { WorkerPool::OverrideVisibleCpusForTest(n); }
-  ~ScopedVisibleCpus() { WorkerPool::OverrideVisibleCpusForTest(0); }
-};
-
 TEST(ScaleSmokeTest, Scale1mSpecDryRunValidates) {
   const ScenarioSpec spec =
       MustParseRepoScenario("bench/scenarios/scale_1m.scenario");
   EXPECT_EQ(spec.hosts, 1000000);
-  EXPECT_EQ(spec.sweep_key, "intra_round_threads");
-  EXPECT_GE(spec.sweep_values.size(), 2u) << "1-thread baseline plus at "
-                                             "least one multi-thread point";
+  EXPECT_TRUE(spec.sweep_key.empty());
   const Status st = ValidateExperiment(spec);
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
@@ -66,33 +56,38 @@ TEST(ScaleSmokeTest, Scale10mSpecDryRunValidates) {
   const ScenarioSpec spec =
       MustParseRepoScenario("bench/scenarios/scale_10m.scenario");
   EXPECT_EQ(spec.hosts, 10000000);
-  EXPECT_EQ(spec.sweep_key, "intra_round_threads");
+  EXPECT_TRUE(spec.sweep_key.empty());
   const Status st = ValidateExperiment(spec);
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 TEST(ScaleSmokeTest, DownsizedScale1mExecutesThreadCountInvariant) {
-  // Same spec, 50x smaller population (still above the kernel's 4096-slot
-  // parallel gate) so the executed shape — push-mode push-sum, uniform
-  // env, intra_round_threads sweep — is exercised end-to-end on every
-  // ctest run without the 64 MB working set.
-  const ScopedVisibleCpus forced(4);
+  // Same spec, 50x smaller population, so the executed shape — push-mode
+  // push-sum on the uniform env — is exercised end-to-end on every ctest
+  // run without the 40 MB working set.
   ScenarioSpec spec = MustParseRepoScenario("bench/scenarios/scale_1m.scenario");
   spec.hosts = 20000;
-  const auto tables = RunExperiment(spec, 1);
-  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
-  ASSERT_EQ(tables->size(), 1u);
-  const CsvTable& table = (*tables)[0].table;
-  ASSERT_EQ(table.num_rows(),
-            static_cast<int64_t>(spec.sweep_values.size()));
-  // The recorded metric is in the last column; the scatter thread count
-  // must be invisible in it (bit-identical, not approximately equal).
+  spec.trials = 4;
+  const auto one = RunExperiment(spec, 1);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ASSERT_EQ(one->size(), 1u);
+  const CsvTable& table = (*one)[0].table;
+  ASSERT_EQ(table.num_rows(), spec.trials);  // one row per trial
+  // The recorded metric is in the last column.
   const size_t metric = table.columns().size() - 1;
-  const double baseline = table.row(0)[metric];
-  EXPECT_TRUE(std::isfinite(baseline));
-  EXPECT_GT(baseline, 0.0);
-  for (int64_t r = 1; r < table.num_rows(); ++r) {
-    EXPECT_EQ(table.row(r)[metric], baseline) << "sweep row " << r;
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    EXPECT_TRUE(std::isfinite(table.row(r)[metric])) << "trial row " << r;
+    EXPECT_GT(table.row(r)[metric], 0.0) << "trial row " << r;
+  }
+  // Trials spread over executor threads: bit-identical, not approximately
+  // equal.
+  const auto four = RunExperiment(spec, 4);
+  ASSERT_TRUE(four.ok()) << four.status().ToString();
+  ASSERT_EQ(four->size(), 1u);
+  const CsvTable& spread = (*four)[0].table;
+  ASSERT_EQ(spread.num_rows(), table.num_rows());
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    EXPECT_EQ(spread.row(r), table.row(r)) << "trial row " << r;
   }
 }
 

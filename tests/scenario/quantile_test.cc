@@ -1,7 +1,6 @@
 // quantile(metric, q) record tests: spec grammar (paren-aware record
 // lists), rounds-driver computation, executor merge (sweeps, trials,
-// aggregation, thread-count determinism), sink rendering, and the
-// intra_round_threads spec key's validation + determinism.
+// aggregation, thread-count determinism) and sink rendering.
 
 #include <algorithm>
 #include <cmath>
@@ -18,7 +17,6 @@
 #include "scenario/spec.h"
 #include "sim/metrics.h"
 #include "sim/population.h"
-#include "sim/worker_pool.h"
 #include "sim/workload.h"
 
 namespace dynagg {
@@ -192,80 +190,6 @@ TEST(QuantileRecordTest, SinkRendersSummaryColumns) {
   ASSERT_TRUE(jsonl.ok());
   EXPECT_NE(jsonl->find("\"final_error_p99.9\""), std::string::npos)
       << *jsonl;
-}
-
-// ------------------------------------------------ intra_round_threads ---
-
-TEST(IntraRoundThreadsTest, SpecKeyValidation) {
-  EXPECT_FALSE(ParseScenarioFile("protocol = push-sum\n"
-                                 "intra_round_threads = 0\n")
-                   .ok());
-  EXPECT_FALSE(ParseScenarioFile("protocol = push-sum\n"
-                                 "intra_round_threads = x\n")
-                   .ok());
-  const auto specs = ParseScenarioFile("protocol = push-sum\n"
-                                       "intra_round_threads = 4\n");
-  ASSERT_TRUE(specs.ok());
-  EXPECT_EQ((*specs)[0].intra_round_threads, 4);
-}
-
-TEST(IntraRoundThreadsTest, CustomProtocolRejectedAtValidation) {
-  const auto specs = ParseScenarioFile("protocol = tag-tree\n"
-                                       "hosts = 20\n"
-                                       "intra_round_threads = 2\n");
-  ASSERT_TRUE(specs.ok());
-  // tag-tree owns its whole trial loop; --dry-run (ValidateExperiment)
-  // must reject the knob, not silently ignore it.
-  EXPECT_FALSE(ValidateExperiment((*specs)[0]).ok());
-}
-
-TEST(IntraRoundThreadsTest, ExchangeOnlyProtocolRejectedAtValidation) {
-  // count-sketch rounds are sequential pairwise merges with no
-  // data-parallel apply phase; --dry-run must reject the knob statically
-  // (ProtocolDef::threads_capable), not first at execution.
-  const auto specs = ParseScenarioFile("protocol = count-sketch\n"
-                                       "hosts = 20\n"
-                                       "intra_round_threads = 2\n");
-  ASSERT_TRUE(specs.ok());
-  EXPECT_FALSE(ValidateExperiment((*specs)[0]).ok());
-  // ...while a push-scatter protocol passes.
-  const auto ok_specs = ParseScenarioFile("protocol = push-sum\n"
-                                          "hosts = 20\n"
-                                          "intra_round_threads = 2\n");
-  ASSERT_TRUE(ok_specs.ok());
-  EXPECT_TRUE(ValidateExperiment((*ok_specs)[0]).ok());
-}
-
-/// Forces the sharded scatter on single-CPU CI hosts (the kernel clamps
-/// intra_round_threads to the visible CPUs otherwise); restored on scope
-/// exit even when an ASSERT bails out of the test early.
-class ScopedVisibleCpus {
- public:
-  explicit ScopedVisibleCpus(int n) { WorkerPool::OverrideVisibleCpusForTest(n); }
-  ~ScopedVisibleCpus() { WorkerPool::OverrideVisibleCpusForTest(0); }
-};
-
-TEST(IntraRoundThreadsTest, OutputBitIdenticalToSequential) {
-  // This also runs the worker pool nested under the executor's trial
-  // threads — the production shape.
-  const ScopedVisibleCpus forced(4);
-  const std::string base =
-      "name = scatter\n"
-      "protocol = push-sum-revert\n"
-      "protocol.mode = push\n"
-      "hosts = 5000\n"  // above the kernel's parallel-slots gate
-      "rounds = 5\n"
-      "seed = 11\n"
-      "record = rms, quantile(final_error, 0.5)\n";
-  const auto seq = RunScenario(base + "intra_round_threads = 1\n", 1);
-  const auto par = RunScenario(base + "intra_round_threads = 4\n", 1);
-  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-  ASSERT_TRUE(par.ok()) << par.status().ToString();
-  const auto csv_seq = RenderTables(*seq, "scatter", "csv");
-  const auto csv_par = RenderTables(*par, "scatter", "csv");
-  ASSERT_TRUE(csv_seq.ok());
-  ASSERT_TRUE(csv_par.ok());
-  EXPECT_EQ(*csv_seq, *csv_par);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "scenario/executor.h"
 #include "scenario/sink.h"
 #include "scenario/spec.h"
-#include "sim/worker_pool.h"
 
 namespace dynagg {
 namespace scenario {
@@ -80,15 +79,7 @@ TEST(TelemetryRunTest, CollectionDoesNotPerturbResults) {
   }
 }
 
-/// Forces the sharded scatter path on hosts with fewer CPUs than threads.
-class ScopedVisibleCpus {
- public:
-  explicit ScopedVisibleCpus(int n) { WorkerPool::OverrideVisibleCpusForTest(n); }
-  ~ScopedVisibleCpus() { WorkerPool::OverrideVisibleCpusForTest(0); }
-};
-
 TEST(TelemetryRunTest, CountersAreThreadCountIndependent) {
-  ScopedVisibleCpus cpus(2);
   // Push mode: the only mode whose rounds deposit payloads.
   const std::string text = std::string(kSpec) + "protocol.mode = push\n";
   const ScenarioSpec base = MustParse(text);
@@ -97,28 +88,22 @@ TEST(TelemetryRunTest, CountersAreThreadCountIndependent) {
   ASSERT_EQ(tel1.summary.size(), 1u);
   const CsvTable& t1 = tel1.summary[0].table;
   EXPECT_EQ(t1.num_rows(), 2);  // one per sweep point
-  // Executor threads 1 vs 4 and intra-round threads 1 vs 2 (the fused
-  // apply vs the sharded scatter) do the same work.
-  for (const int intra : {1, 2}) {
-    const ScenarioSpec spec = MustParse(
-        text + "intra_round_threads = " + std::to_string(intra) + "\n");
-    for (const int threads : {1, 4}) {
-      ExperimentTelemetry tel;
-      MustRenderRun(spec, RunOptions{threads, "summary", nullptr}, &tel);
-      ASSERT_EQ(tel.summary.size(), 1u);
-      const CsvTable& t = tel.summary[0].table;
-      EXPECT_EQ(t1.columns(), t.columns());
-      // Everything except wall-clock timings is an exact, deterministic
-      // count.
-      for (const char* col :
-           {"lambda", "trials", "rounds", "plan_cache_hits",
-            "plan_cache_rebuilds", "alive_bitmap_rebuilds", "rng_draws",
-            "gossip_exchanges", "deposit_bytes", "early_stop_rounds",
-            "record_evaluations"}) {
-        EXPECT_EQ(Column(t1, col), Column(t, col))
-            << "column " << col << " intra_round_threads=" << intra
-            << " threads=" << threads;
-      }
+  // Executor threads 1 vs 4 do the same work.
+  for (const int threads : {1, 4}) {
+    ExperimentTelemetry tel;
+    MustRenderRun(base, RunOptions{threads, "summary", nullptr}, &tel);
+    ASSERT_EQ(tel.summary.size(), 1u);
+    const CsvTable& t = tel.summary[0].table;
+    EXPECT_EQ(t1.columns(), t.columns());
+    // Everything except wall-clock timings is an exact, deterministic
+    // count.
+    for (const char* col :
+         {"lambda", "trials", "rounds", "plan_cache_hits",
+          "plan_cache_rebuilds", "alive_bitmap_rebuilds", "rng_draws",
+          "gossip_exchanges", "deposit_bytes", "early_stop_rounds",
+          "record_evaluations"}) {
+      EXPECT_EQ(Column(t1, col), Column(t, col))
+          << "column " << col << " threads=" << threads;
     }
   }
   EXPECT_GT(Column(t1, "rng_draws")[0], 0);
@@ -186,34 +171,6 @@ TEST(TelemetryValidationTest, AcceptsTelemetryModes) {
     EXPECT_EQ(spec.telemetry, mode);
     EXPECT_TRUE(ValidateExperiment(spec).ok());
   }
-}
-
-TEST(TelemetryValidationTest, SweptThreadsNeedThreadsCapableProtocol) {
-  const std::string sweep = "sweep = intra_round_threads: 1, 2\n";
-  const ScenarioSpec ok = MustParse(
-      "name = t\nprotocol = push-sum\nprotocol.mode = push\nhosts = 16\n" +
-      sweep);
-  EXPECT_TRUE(ValidateExperiment(ok).ok());
-  const ScenarioSpec bad = MustParse(
-      "name = t\nprotocol = epoch-push-sum\nhosts = 16\n" + sweep);
-  const Status st = ValidateExperiment(bad);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("intra_round_threads"), std::string::npos);
-}
-
-TEST(TelemetryValidationTest, SweptThreadsDoNotChangeMetrics) {
-  const ScenarioSpec spec = MustParse(
-      "name = t\nprotocol = push-sum\nprotocol.mode = push\nhosts = 64\n"
-      "rounds = 6\nseed = 7\nsweep = intra_round_threads: 1, 2\n"
-      "record = rms_tail_mean\nrecord.from = 3\n");
-  Result<std::vector<ResultTable>> tables = RunExperiment(spec, 1);
-  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
-  ASSERT_EQ(tables->size(), 1u);
-  const CsvTable& table = (*tables)[0].table;
-  ASSERT_EQ(table.num_rows(), 2);
-  // Scatter parallelism must be invisible in the recorded metric.
-  EXPECT_EQ(Column(table, "rms_tail_mean")[0],
-            Column(table, "rms_tail_mean")[1]);
 }
 
 }  // namespace

@@ -55,6 +55,21 @@ TEST(DryRunValidationTest, RejectsRevertOnProtocolWithoutReversion) {
                   .ok());
 }
 
+TEST(DryRunValidationTest, RejectsRetiredIntraRoundThreadsKey) {
+  // Rounds run on one thread; the old scatter-thread key is an unknown key
+  // now, as a value and as a sweep axis, and the diagnostic names it.
+  for (const char* line :
+       {"intra_round_threads = 2\n", "intra_round_threads = 1\n",
+        "sweep = intra_round_threads: 1, 2\n"}) {
+    const auto specs = ParseScenarioFile(
+        std::string("protocol = push-sum\nhosts = 16\n") + line);
+    ASSERT_FALSE(specs.ok()) << "spec unexpectedly valid: " << line;
+    EXPECT_NE(specs.status().message().find("intra_round_threads"),
+              std::string::npos)
+        << specs.status().ToString();
+  }
+}
+
 TEST(DryRunValidationTest, RejectsUnknownRevertValue) {
   ExpectDryRunError(
       "protocol = push-sum-revert\nhosts = 16\nprotocol.revert = maybe\n",

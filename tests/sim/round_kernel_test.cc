@@ -4,7 +4,8 @@
 // the shared plan -> apply kernel; these tests pin that the rewrite is
 // bit-identical to the pre-refactor loops (replicated verbatim below) —
 // including under mid-trial deaths, trace playback (AdvanceTo between
-// rounds), and with the data-parallel deposit scatter enabled.
+// rounds) — and that the split ScatterDeposits form matches the fused
+// push loop bit for bit.
 
 #include <cmath>
 #include <vector>
@@ -20,21 +21,9 @@
 #include "env/uniform_env.h"
 #include "sim/population.h"
 #include "sim/round_kernel.h"
-#include "sim/worker_pool.h"
 
 namespace dynagg {
 namespace {
-
-/// The kernel clamps intra_round_threads to WorkerPool::VisibleCpus(), so
-/// on a single-CPU CI host the "parallel" swarm would silently take the
-/// fused sequential path and these determinism tests would compare it to
-/// itself. Forcing the visible count keeps the destination-sharded scatter
-/// under test on any host; the override is restored on scope exit.
-class ScopedVisibleCpus {
- public:
-  explicit ScopedVisibleCpus(int n) { WorkerPool::OverrideVisibleCpusForTest(n); }
-  ~ScopedVisibleCpus() { WorkerPool::OverrideVisibleCpusForTest(0); }
-};
 
 std::vector<double> TestValues(int n, uint64_t seed) {
   Rng rng(seed);
@@ -261,61 +250,71 @@ TEST(RoundKernelParityTest, TraceEnvironmentAdvanceToRebuildsMidTrial) {
   EXPECT_EQ(rng_a.Next(), rng_b.Next());
 }
 
-// ------------------------------------------------ parallel scatter ---
+// ------------------------------------------------- split scatter ---
 
-TEST(RoundKernelTest, ScatterDepositsBitIdenticalAtAnyThreadCount) {
-  // Big enough to clear the kernel's minimum-parallel-slots gate.
-  const ScopedVisibleCpus forced(4);
-  const int n = 6000;
+// Runs six planned push rounds and checks that ScatterDeposits over a
+// per-slot payload vector deposits exactly what the fused ForEachPushSlot
+// round does. Even hosts meet each other; odd hosts have no contacts, so
+// their slots are unmatched and return to the sender. Kills from Mutate
+// make the initiator list non-identity after round 2.
+void ExpectScatterMatchesFusedPushSlot(bool self_echo, int slots_per_host) {
+  const int n = 64;
+  ContactTrace trace(n);
+  for (HostId a = 0; a < n; a += 2) {
+    for (HostId b = a + 2; b < n; b += 2) {
+      trace.AddContact(a, b, FromSeconds(0), FromSeconds(1000));
+    }
+  }
+  trace.Finalize();
+  TraceEnvironment env(trace);
+  env.AdvanceTo(FromSeconds(10));
   const std::vector<double> values = TestValues(n, 404);
 
-  PushSumSwarm sequential(values, GossipMode::kPush);
-  PushSumSwarm parallel(values, GossipMode::kPush);
-  parallel.set_intra_round_threads(3);
-
-  UniformEnvironment env(n);
-  Population pop_a(n);
-  Population pop_b(n);
-  Rng rng_a(606);
-  Rng rng_b(606);
+  RoundKernel kernel;
+  Population pop(n);
+  Rng rng(606);
   for (int round = 0; round < 6; ++round) {
-    Mutate(pop_a, round);
-    Mutate(pop_b, round);
-    sequential.RunRound(env, pop_a, rng_a);
-    parallel.RunRound(env, pop_b, rng_b);
+    Mutate(pop, round);
+    const PartnerPlan& plan =
+        kernel.PlanPushRound(env, pop, rng, slots_per_host);
+    ASSERT_LT(static_cast<size_t>(plan.CountMatched()), plan.size());
+    const auto payload_of = [&](HostId src) {
+      return values[src] * 0.5 + round;
+    };
+
+    std::vector<double> fused(n, 0.0);
+    kernel.ForEachPushSlot(
+        [&](HostId src) {
+          const double p = payload_of(src);
+          if (self_echo) fused[src] += p;
+          return p;
+        },
+        [&](HostId dst, double p) { fused[dst] += p; },
+        [](HostId) {});
+
+    std::vector<double> payloads(plan.size());
+    for (size_t k = 0; k < plan.size(); ++k) {
+      payloads[k] = payload_of(plan.initiators()[k]);
+    }
+    std::vector<double> split(n, 0.0);
+    kernel.ScatterDeposits(payloads, self_echo, n,
+                           [&](HostId dst, double p) { split[dst] += p; });
+
     for (HostId id = 0; id < n; ++id) {
-      // Floating-point accumulation order is preserved per destination, so
-      // this is exact equality, not tolerance.
-      ASSERT_EQ(sequential.Estimate(id), parallel.Estimate(id))
-          << "round " << round << " host " << id;
+      // Same per-destination order, so exact equality, not tolerance.
+      ASSERT_EQ(fused[id], split[id]) << "round " << round << " host " << id;
     }
   }
-  EXPECT_EQ(rng_a.Next(), rng_b.Next());
 }
 
-TEST(RoundKernelTest, ScatterThreadsOnFullTransferBitIdentical) {
-  const ScopedVisibleCpus forced(4);
-  const int n = 2000;  // 4 parcels/host -> 8000 slots, above the gate
-  const std::vector<double> values = TestValues(n, 505);
-  const FullTransferParams params{.lambda = 0.1, .parcels = 4, .window = 3};
-  FullTransferSwarm sequential(values, params);
-  FullTransferSwarm parallel(values, params);
-  parallel.set_intra_round_threads(4);
-  UniformEnvironment env(n);
-  Population pop_a(n);
-  Population pop_b(n);
-  Rng rng_a(707);
-  Rng rng_b(707);
-  for (int round = 0; round < 5; ++round) {
-    Mutate(pop_a, round);
-    Mutate(pop_b, round);
-    sequential.RunRound(env, pop_a, rng_a);
-    parallel.RunRound(env, pop_b, rng_b);
-    for (HostId id = 0; id < n; ++id) {
-      ASSERT_EQ(sequential.Estimate(id), parallel.Estimate(id))
-          << "round " << round << " host " << id;
-    }
-  }
+TEST(RoundKernelTest, ScatterDepositsBitIdenticalToFusedPushSlot) {
+  // Push-sum shape: one slot per host, the sender keeps its own half.
+  ExpectScatterMatchesFusedPushSlot(/*self_echo=*/true, /*slots_per_host=*/1);
+}
+
+TEST(RoundKernelTest, ScatterDepositsFullTransferShapeBitIdentical) {
+  // Full-transfer shape: several parcels per host and no self echo.
+  ExpectScatterMatchesFusedPushSlot(/*self_echo=*/false, /*slots_per_host=*/3);
 }
 
 TEST(RoundKernelTest, MassConservedAcrossKernelRounds) {

@@ -1,8 +1,8 @@
 // Scenario-level tests of the stream sketch protocols: byte-identical
-// output across executor thread counts, telemetry modes and the round
-// kernel's intra-round scatter threads; the workload.* dry-run validation
-// contract (both directions: workload keys on non-consuming protocols,
-// keyed-stream protocols without a workload); and end-to-end accuracy
+// output across executor thread counts and telemetry modes; the workload.*
+// dry-run validation contract (both directions: workload keys on
+// non-consuming protocols, keyed-stream protocols without a workload); and
+// end-to-end accuracy
 // sanity — a wide sketch over a skewed stream must recover the true
 // heavy hitters.
 
@@ -16,7 +16,6 @@
 #include "scenario/executor.h"
 #include "scenario/sink.h"
 #include "scenario/spec.h"
-#include "sim/worker_pool.h"
 
 namespace dynagg {
 namespace scenario {
@@ -102,39 +101,6 @@ TEST(StreamScenarioTest, OutputIsByteIdenticalAcrossThreadsAndTelemetry) {
       EXPECT_EQ(got, baseline) << "mode=" << mode << " threads=" << threads;
     }
   }
-}
-
-TEST(StreamScenarioTest, IntraRoundScatterThreadsDoNotChangeOutput) {
-  // The parallel deposit scatter only engages above the kernel's
-  // sequential cutoff (4096 slots), so this one needs a big population;
-  // the sketch and key universe are kept tiny to compensate. The kernel
-  // also clamps the thread count to the visible CPUs, so force 4 for the
-  // test's lifetime to keep the sharded path under test on 1-CPU hosts.
-  struct ScopedVisibleCpus {
-    explicit ScopedVisibleCpus(int n) {
-      WorkerPool::OverrideVisibleCpusForTest(n);
-    }
-    ~ScopedVisibleCpus() { WorkerPool::OverrideVisibleCpusForTest(0); }
-  } forced(4);
-  const std::string base = R"(name = hh_par
-protocol = count-min
-hosts = 6000
-rounds = 4
-seed = 11
-workload.kind = zipf
-workload.keys = 512
-workload.batch = 4
-protocol.width = 16
-protocol.depth = 2
-record = hh_frontier, hh_precision(4)
-)";
-  const ScenarioSpec seq = MustParse(base);
-  const ScenarioSpec par = MustParse(base + "intra_round_threads = 4\n");
-  const std::string a = MustRenderRun(seq, RunOptions{1, "off", nullptr},
-                                      nullptr);
-  const std::string b = MustRenderRun(par, RunOptions{1, "off", nullptr},
-                                      nullptr);
-  EXPECT_EQ(a, b);
 }
 
 // -------------------------------------------------------- validation ---

@@ -3,8 +3,7 @@
 # (pre-refactor per-host SamplePeer round vs the plan -> apply kernel, via
 # bench/micro_protocol_ops) across the 10k/100k/1M size trajectory, times
 # the scale_100k and scale_1m scenarios end-to-end, and records the
-# per-phase breakdown (including worker-pool dispatch/wait time) from the
-# telemetry summary. Writes BENCH_roundkernel.json, carrying the previous
+# per-phase breakdown from the telemetry summary. Writes BENCH_roundkernel.json, carrying the previous
 # snapshot forward in a `history` array so the perf trajectory is recorded
 # in-repo.
 #
@@ -269,7 +268,7 @@ MICRO_HEAVY_JSON="$BUILD_DIR/bench_roundkernel_heavy_raw.json"
 
 # Host CPU budget as the runner sees it: hardware_concurrency alone lies on
 # cgroup-limited CI runners, so the snapshot records both the hardware
-# count and the affinity-visible count (what the worker pool clamps to).
+# count and the affinity-visible count (dynagg_run's default --threads).
 HOSTINFO=$("$RUNNER" --hostinfo)
 HW_CPUS=$(sed -n 's/^hardware_concurrency=//p' <<<"$HOSTINFO")
 AFF_CPUS=$(sed -n 's/^affinity_cpus=//p' <<<"$HOSTINFO")
@@ -286,7 +285,7 @@ SCALE_SECONDS=$(python3 -c "print(min($S1, $S2))")
 
 # Same scenario with the telemetry summary collected: the end-to-end delta
 # against the plain runs above is the checked-in telemetry overhead number,
-# and the per-sweep-point phase table becomes the snapshot's breakdown.
+# and the one-row phase table becomes the snapshot's breakdown.
 T1=$(time_scenario_run bench/scenarios/scale_100k.scenario \
   "$BUILD_DIR/scale_100k_out_tel.csv" \
   --telemetry=summary --telemetry-out="$SCALE_TEL_CSV")
@@ -299,7 +298,7 @@ if ! cmp -s "$SCALE_OUT" "$BUILD_DIR/scale_100k_out_tel.csv"; then
   exit 1
 fi
 
-# Million-host rung, timed end-to-end (best-of-2; ~64 MB of swarm state,
+# Million-host rung, timed end-to-end (best-of-2; ~40 MB of swarm state,
 # about a second per run on the CI host).
 M1=$(time_scenario_run bench/scenarios/scale_1m.scenario \
   "$BUILD_DIR/scale_1m_out.csv")
@@ -320,26 +319,17 @@ scale_1m_seconds = float(sys.argv[5])
 hw_cpus = int(sys.argv[6])
 affinity_cpus = int(sys.argv[7])
 
-# Per-sweep-point phase breakdown from the telemetry summary CSV
-# (comment lines start with '#'; one row per intra_round_threads value).
-# The pool_* columns are the worker-pool dispatch/wait counters (summed ns
-# across the cell), converted to per-trial ms alongside the phase spans.
+# Phase breakdown of the scenario's single point from the telemetry
+# summary CSV (comment lines start with '#').
 phase_cols = ("trial_ms", "setup_ms", "plan_ms", "apply_ms", "scatter_ms",
               "record_ms", "span_cover_pct")
-pool_cols = {"pool_dispatch_ns": "pool_dispatch_ms",
-             "pool_wait_ns": "pool_wait_ms"}
-phase_ms = {}
 with open(sys.argv[4]) as f:
     rows = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
-header = rows[0].split(",")
-for line in rows[1:]:
-    vals = dict(zip(header, line.split(",")))
-    entry = {c: round(float(vals[c]), 3) for c in phase_cols if c in vals}
-    trials = float(vals.get("trials", 1)) or 1.0
-    for src, dst in pool_cols.items():
-        if src in vals:
-            entry[dst] = round(float(vals[src]) / trials / 1e6, 3)
-    phase_ms[vals["intra_round_threads"]] = entry
+if len(rows) != 2:
+    sys.exit(f"bench.sh: expected one scale_100k telemetry row, got "
+             f"{len(rows) - 1}")
+vals = dict(zip(rows[0].split(","), rows[1].split(",")))
+phase_ms = {c: round(float(vals[c]), 3) for c in phase_cols if c in vals}
 
 # best-of-repetitions real time per benchmark, in nanoseconds
 best = {}
@@ -366,7 +356,7 @@ if prev:
     history.append({
         "generated": prev.get("generated"),
         "gate_round_ns": prev.get("round_ns", {}).get(
-            "BM_PushRoundKernel/10000/1"),
+            "BM_PushRoundKernel/10000"),
         "push_100k_speedup": prev.get("speedup", {}).get("push_100k"),
         "scale_100k_scenario_seconds": prev.get(
             "scale_100k_scenario_seconds"),
@@ -384,11 +374,10 @@ snapshot = {
              "10k/100k/1M size "
              "trajectory; speedups are legacy/kernel. cpus records both "
              "the hardware thread count and the affinity-visible count "
-             "(what the worker pool clamps intra_round_threads to — on a "
-             "cgroup-limited host they differ, and hardware_concurrency "
-             "alone lies). scale_100k_phase_ms is the per-trial telemetry "
-             "phase breakdown keyed by intra_round_threads, including "
-             "worker-pool dispatch/wait time; telemetry_overhead_pct is "
+             "(dynagg_run's default --threads — on a cgroup-limited host "
+             "they differ, and hardware_concurrency alone lies). Rounds "
+             "run on one thread. scale_100k_phase_ms is the per-trial "
+             "telemetry phase breakdown; telemetry_overhead_pct is "
              "the end-to-end scale_100k cost of telemetry=summary vs off; "
              "scale_1m_scenario_seconds times the million-host rung "
              "end-to-end (scale_10m_scenario_seconds via tools/bench.sh "
@@ -419,10 +408,9 @@ if "scale_10m_scenario_seconds" in prev:
         "scale_10m_scenario_seconds"]
 
 pairs = {
-    "push_10k": ("BM_PushRoundLegacy/10000", "BM_PushRoundKernel/10000/1"),
-    "push_100k": ("BM_PushRoundLegacy/100000", "BM_PushRoundKernel/100000/1"),
-    "push_1m": ("BM_PushRoundLegacy/1000000",
-                "BM_PushRoundKernel/1000000/1"),
+    "push_10k": ("BM_PushRoundLegacy/10000", "BM_PushRoundKernel/10000"),
+    "push_100k": ("BM_PushRoundLegacy/100000", "BM_PushRoundKernel/100000"),
+    "push_1m": ("BM_PushRoundLegacy/1000000", "BM_PushRoundKernel/1000000"),
     "pushpull_100k": ("BM_PushPullRoundLegacy/100000",
                       "BM_PushPullRoundKernel/100000"),
     "pushpull_1m": ("BM_PushPullRoundLegacy/1000000",
@@ -450,18 +438,6 @@ print(json.dumps(snapshot["speedup"], indent=2))
 target = snapshot["speedup"].get("push_100k")
 if target is None:
     sys.exit("bench.sh: missing push_100k benchmarks in output")
-
-# The headline this snapshot exists to hold: with the persistent worker
-# pool and CPU clamping, asking for more threads than the host has must
-# never be slower than one thread (beyond noise).
-base = snapshot["round_ns"].get("BM_PushRoundKernel/100000/1")
-for t in (2, 4):
-    multi = snapshot["round_ns"].get(f"BM_PushRoundKernel/100000/{t}")
-    if base and multi and multi > base * 1.05:
-        print(f"bench.sh: WARNING: BM_PushRoundKernel/100000/{t} "
-              f"({multi:.0f} ns) is slower than /1 ({base:.0f} ns) — "
-              "thread scaling regressed; investigate before committing "
-              "this snapshot")
 
 print(f"bench.sh: wrote BENCH_roundkernel.json "
       f"(100k push-sum round speedup {target}x, "

@@ -7,7 +7,8 @@
 //       Run every experiment in each file and write its metric tables to
 //       the spec's `output` (default stdout). --seed / --output / --format
 //       override the spec for all experiments (reproduction runs with a
-//       different base seed need no spec edits).
+//       different base seed need no spec edits). --threads defaults to
+//       the CPUs the process may run on (its affinity mask).
 //       --telemetry overrides the spec's `telemetry` key. In summary mode
 //       the per-sweep-point phase-timing/counter table goes to
 //       --telemetry-out (CSV/JSONL, same format rules as the main output)
@@ -38,10 +39,10 @@
 #include <cstring>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/cpus.h"
 #include "common/status.h"
 #include "net/network_model.h"
 #include "obs/trace_export.h"
@@ -49,7 +50,6 @@
 #include "scenario/sink.h"
 #include "scenario/spec.h"
 #include "scenario/trial.h"
-#include "sim/worker_pool.h"
 #include "sim/workload.h"
 
 namespace dynagg {
@@ -181,8 +181,9 @@ void ListExperiment(const scenario::ScenarioSpec& spec) {
 enum class Mode { kRun, kList, kDryRun };
 
 int Run(int argc, char** argv) {
-  int threads = static_cast<int>(std::thread::hardware_concurrency());
-  if (threads < 1) threads = 1;
+  // Default to the CPUs this process may run on, not the machine's count:
+  // a container pinned to one CPU gets one executor thread.
+  int threads = VisibleCpus();
   Mode mode = Mode::kRun;
   bool has_seed_override = false;
   uint64_t seed_override = 0;
@@ -202,8 +203,7 @@ int Run(int argc, char** argv) {
       // AND what the scheduler actually grants (cgroup/affinity mask) —
       // `cpus: 1` in a bench snapshot is unreadable without both.
       std::printf("hardware_concurrency=%d\naffinity_cpus=%d\n",
-                  WorkerPool::HardwareConcurrency(),
-                  WorkerPool::AffinityCpus());
+                  HardwareConcurrency(), AffinityCpus());
       return 0;
     } else if (arg == "--dry-run") {
       mode = Mode::kDryRun;
