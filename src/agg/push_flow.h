@@ -74,6 +74,8 @@ class PushFlowSwarm {
   /// view of the sender's cumulative outgoing flow, ignoring stale
   /// sequence numbers from reordered deliveries.
   void DeliverFlow(const net::Message& m);
+  /// Over-the-air size of one async message.
+  static constexpr int64_t kMessageBytes = kFlowMessageBytes;
 
   /// Current estimate of the network-wide average at `id`. Falls back to
   /// the initial value should the effective weight ever be non-positive

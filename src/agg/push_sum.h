@@ -146,6 +146,8 @@ class PushSumSwarm {
 
   /// Applies one delivered mass message (async driver).
   void DeliverMass(const net::Message& m) { mass_[m.dst] += Mass{m.a, m.b}; }
+  /// Over-the-air size of one async message.
+  static constexpr int64_t kMessageBytes = kMassMessageBytes;
 
   /// Churn-join reset: (re)initializes host `id` to its pristine
   /// <1, v0> mass — first arrivals and ID-reuse rebirths both start

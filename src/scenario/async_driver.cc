@@ -32,14 +32,13 @@ constexpr int kSamplerPriority = 2;
 
 Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
                       Recorder& rec) {
-  // Setup phase: validation, environment/swarm construction, scheduling.
+  // Setup phase: environment/swarm construction, scheduling.
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
-  DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, def));
   DYNAGG_ASSIGN_OR_RETURN(const net::NetworkParams net_params,
                           ParseNetworkParams(spec));
-  // ValidateAsyncSpec admits only record.from and record.every.
+  // ValidateAsyncSpec admitted only record.from and record.every.
   DYNAGG_ASSIGN_OR_RETURN(const RecordConfig window,
                           ParseRecordConfig(spec, {}));
 
@@ -55,16 +54,6 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
 
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
   DYNAGG_ASSIGN_OR_RETURN(SwarmHandle swarm, def.make_swarm(ctx, env));
-  if (!swarm.async_tick || !swarm.async_deliver) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' is registered async-capable but built no message-level hooks");
-  }
-  if ((want_bandwidth || want_gossip_bytes) && swarm.message_bytes <= 0) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' does not declare its per-message payload size");
-  }
   const int n = env.env->num_hosts();
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t round_stream,
                           RoundStream(spec, ctx, n));
@@ -248,6 +237,10 @@ Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
   const auto invalid = [&](const std::string& what) {
     return Status::InvalidArgument("driver = async: " + what);
   };
+  DYNAGG_RETURN_IF_ERROR(RejectChurnPlans(
+      spec,
+      " needs event-indexed membership plans, which are not implemented yet "
+      "(see docs/spec_reference.md)"));
   if (!def.make_swarm) {
     return invalid("protocol '" + spec.protocol +
                    "' owns its whole trial loop and cannot run "
@@ -264,15 +257,15 @@ Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
         "sample_period does not apply (metrics are sampled once per gossip "
         "tick; thin the series with record.from / record.every)");
   }
-  // Failure and churn plans are round-indexed membership scripts built
-  // for the synchronous drivers. Under message-level time there is no
-  // round boundary to apply them at: a host's departure/arrival would
-  // have to be an event indexed into the in-flight delivery timeline
-  // (invalidating queued messages to and from it), which is not
-  // implemented yet. Point at the limitation rather than a bare reject
-  // so the fix is actionable from the error alone.
+  // Failure plans are round-indexed membership scripts built for the
+  // synchronous drivers. Under message-level time there is no round
+  // boundary to apply them at: a host's departure would have to be an
+  // event indexed into the in-flight delivery timeline (invalidating
+  // queued messages to and from it), which is not implemented yet. Point
+  // at the limitation rather than a bare reject so the fix is actionable
+  // from the error alone.
   for (const auto& [key, value] : spec.params) {
-    if (key.rfind("failure.", 0) == 0 || key.rfind("churn.", 0) == 0) {
+    if (key.rfind("failure.", 0) == 0) {
       return invalid(
           "'" + key +
           "' does not apply: failure/churn plans are round-indexed and "
@@ -305,11 +298,8 @@ Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
 namespace internal {
 
 void RegisterAsyncDriver(Registry<DriverDef>& registry) {
-  DriverDef def;
-  def.run = RunAsyncDriver;
-  def.event_driven = false;
-  def.message_level = true;
-  DYNAGG_CHECK(registry.Register("async", std::move(def)).ok());
+  DYNAGG_CHECK(
+      registry.Register("async", {RunAsyncDriver, ValidateAsyncSpec}).ok());
 }
 
 }  // namespace internal

@@ -29,10 +29,10 @@
 namespace dynagg {
 namespace scenario {
 
-/// Spec-only validation of a `driver = async` experiment: protocol
-/// capability, the net.* / seeds.* / record.* allowlists and value ranges,
-/// the metric catalog, and the keys the driver does not consume. Shared
-/// between the driver itself and the executor's `--dry-run`.
+/// Spec-only validation of a `driver = async` experiment (the driver's
+/// DriverDef::validate): protocol capability, the net.* / seeds.* /
+/// record.* allowlists and value ranges, the metric catalog, and the keys
+/// the driver does not consume.
 Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def);
 
 /// Parses and range-checks the net.* keys (defaults: a perfect network —

@@ -431,6 +431,23 @@ Result<uint64_t> MessageStream(const ScenarioSpec& spec,
   return EvalStreamExpr(spec, "seeds.message_stream", "5", ctx, n);
 }
 
+bool SpecUsesChurn(const ScenarioSpec& spec) {
+  for (const auto& [key, value] : spec.params) {
+    if (key.rfind("churn.", 0) == 0) return true;
+  }
+  return spec.sweep_key.rfind("churn.", 0) == 0 ||
+         spec.sweep2_key.rfind("churn.", 0) == 0;
+}
+
+Status RejectChurnPlans(const ScenarioSpec& spec, const std::string& why) {
+  if (!SpecUsesChurn(spec)) return Status::OK();
+  return Status::InvalidArgument(
+      "experiment '" + spec.name +
+      "': churn.* plans are round-indexed and only the rounds driver "
+      "executes them; driver = " +
+      spec.driver + why);
+}
+
 Result<ChurnConfig> ParseChurnConfig(const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
       "churn.", {"initial", "arrival_rate", "death_prob", "rebirth_prob",

@@ -202,6 +202,14 @@ struct ChurnConfig {
 
 Result<ChurnConfig> ParseChurnConfig(const ScenarioSpec& spec);
 
+/// Whether `spec` declares any churn.* key (parameter or sweep axis).
+bool SpecUsesChurn(const ScenarioSpec& spec);
+
+/// Rejects churn.* keys on a driver that does not execute churn plans
+/// (all but the rounds driver); `why` ends the diagnostic with the
+/// driver's reason.
+Status RejectChurnPlans(const ScenarioSpec& spec, const std::string& why);
+
 /// Resolves the churn RNG stream (seeds.churn_stream), the same term-sum
 /// grammar as seeds.round_stream; defaults to stream 6 so churn draws
 /// never collide with the gossip (1), failure (2), workload (3), epoch

@@ -113,9 +113,6 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "seeds.",
-      {"round_stream", "failure_stream", "workload_stream", "churn_stream"}));
   DYNAGG_ASSIGN_OR_RETURN(
       const MetricFlags metrics,
       ClassifyDriverMetrics(spec, def.extra_metrics));
@@ -131,14 +128,7 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   DYNAGG_RETURN_IF_ERROR(CheckRecordWindows(spec, metrics, cfg));
 
   TrafficMeter meter;
-  if (metrics.bandwidth) {
-    if (!swarm.set_meter) {
-      return Status::InvalidArgument(
-          "protocol '" + spec.protocol +
-          "' does not support the bandwidth metric");
-    }
-    swarm.set_meter(&meter);
-  }
+  if (metrics.bandwidth) swarm.set_meter(&meter);
 
   Rng fail_rng(DeriveSeed(ctx.trial_seed, fail_stream));
   DYNAGG_ASSIGN_OR_RETURN(
@@ -150,20 +140,6 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   }
 
   DYNAGG_ASSIGN_OR_RETURN(const ChurnConfig churn, ParseChurnConfig(spec));
-  if (churn.enabled) {
-    if (fail.kind != FailureConfig::Kind::kNone) {
-      return Status::InvalidArgument(
-          "churn.* and failure.kind cannot be combined: churn plans cover "
-          "deaths via churn.death_prob (and their rebirths RESET host "
-          "state, unlike failure churn's silent revives)");
-    }
-    if (!swarm.on_join) {
-      return Status::InvalidArgument(
-          "protocol '" + spec.protocol +
-          "' cannot admit hosts (no on_join hook); churn.* keys require a "
-          "join-capable protocol");
-    }
-  }
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t churn_stream,
                           ChurnStream(spec, ctx, n));
   Rng churn_rng(DeriveSeed(ctx.trial_seed, churn_stream));
@@ -319,14 +295,7 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
                                      static_cast<double>(host)),
                   std::abs(swarm.estimate(host) - tr) / tr);
   }
-  if (metrics.gossip_bytes) {
-    if (swarm.gossip_bytes < 0) {
-      return Status::InvalidArgument(
-          "protocol '" + spec.protocol +
-          "' does not model the gossip_bytes metric");
-    }
-    rec.AddScalar("gossip_bytes", swarm.gossip_bytes);
-  }
+  if (metrics.gossip_bytes) rec.AddScalar("gossip_bytes", swarm.gossip_bytes);
   if (metrics.bandwidth) {
     const double denom = static_cast<double>(n) * executed;
     rec.SetBandwidth(meter.total().messages / denom,
@@ -391,51 +360,13 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
   std::optional<obs::ScopedPhase> setup_span(std::in_place,
                                              obs::Phase::kSetup);
   const ScenarioSpec& spec = *ctx.spec;
-  if (!def.make_swarm) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' owns its whole trial loop and cannot run under driver = trace");
-  }
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream"}));
-  // Failure and churn plans are round-indexed; the trace timeline has no
-  // rounds.
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("failure.", {}));
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("churn.", {}));
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {}));
-  DYNAGG_RETURN_IF_ERROR(CheckMetricsSupported(
-      spec, {"rms", "avg_group_size", "bandwidth", "gossip_bytes"}));
   const bool want_rms = MetricRequested(spec, "rms");
   const bool want_group_size = MetricRequested(spec, "avg_group_size");
-  const bool want_bandwidth = MetricRequested(spec, "bandwidth");
-  const bool want_gossip_bytes = MetricRequested(spec, "gossip_bytes");
 
   DYNAGG_ASSIGN_OR_RETURN(EnvHandle env, MakeEnvironment(ctx));
-  if (env.trace == nullptr) {
-    return Status::InvalidArgument(
-        "environment '" + spec.environment +
-        "' does not provide a contact trace (driver = trace replays one; "
-        "use haggle or another trace environment)");
-  }
+  // ValidateTraceSpec admitted only environments that provide a trace.
+  DYNAGG_CHECK(env.trace != nullptr);
   DYNAGG_ASSIGN_OR_RETURN(SwarmHandle swarm, def.make_swarm(ctx, env));
-  if (!swarm.group_truths) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' does not support driver = trace (no group-truth hook)");
-  }
-  if (want_gossip_bytes && swarm.gossip_bytes < 0) {
-    return Status::InvalidArgument(
-        "protocol '" + spec.protocol +
-        "' does not model the gossip_bytes metric");
-  }
-  TrafficMeter meter;
-  if (want_bandwidth) {
-    if (!swarm.set_meter) {
-      return Status::InvalidArgument(
-          "protocol '" + spec.protocol +
-          "' does not support the bandwidth metric");
-    }
-    swarm.set_meter(&meter);
-  }
   const std::function<double(HostId)>& estimate =
       swarm.group_estimate ? swarm.group_estimate : swarm.estimate;
 
@@ -449,10 +380,8 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
 
   TraceRunner runner(*env.trace, gossip_period, env.group_window);
   Rng rng(DeriveSeed(ctx.trial_seed, round_stream));
-  int64_t ticks = 0;  // executed gossip ticks: the bandwidth denominator
   runner.OnRound([&](SimTime) {
     swarm.run_round(runner.env(), runner.pop(), rng);
-    ++ticks;
   });
   // Declare both series before the run: a trace shorter than one sample
   // period must still emit the (empty) series for structural consistency.
@@ -480,16 +409,170 @@ Status RunTraceDriver(const TrialContext& ctx, const ProtocolDef& def,
   runner.Run();
   obs::Count(obs::Counter::kRngDraws,
              static_cast<int64_t>(rng.draw_count()));
-  // Traffic normalizes per host per executed gossip tick — the trace's
-  // event-driven analogue of the rounds driver's per-round normalization.
-  const double denom = static_cast<double>(env.env->num_hosts()) *
-                       static_cast<double>(std::max<int64_t>(1, ticks));
-  if (want_gossip_bytes) rec.AddScalar("gossip_bytes", swarm.gossip_bytes);
-  if (want_bandwidth) {
-    rec.SetBandwidth(meter.total().messages / denom,
-                     meter.total().bytes / denom, swarm.state_bytes);
+  return Status::OK();
+}
+
+// ------------------------------------------------------- validation ---
+//
+// Each driver's DriverDef::validate: everything the driver needs from the
+// spec and the protocol, checked on the spec alone (ValidateExperiment
+// runs it on the base spec and every unit's resolved spec). A field that
+// a pending sweep axis writes (spec.Sweeps) is a placeholder no unit runs
+// with, so checks against it are left to the resolved units.
+
+Status InvalidExperiment(const ScenarioSpec& spec, const std::string& what) {
+  return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
+}
+
+/// The net.* keys and the per-message seed stream configure the async
+/// driver's network model; on the other drivers they would be silently
+/// ignored.
+Status RejectNetKeys(const ScenarioSpec& spec) {
+  for (const auto& [key, value] : spec.params) {
+    if (key.rfind("net.", 0) == 0 || key == "seeds.message_stream") {
+      return InvalidExperiment(
+          spec, "'" + key +
+                    "' configures the async driver's network model and does "
+                    "not apply to driver = " +
+                    spec.driver + " (use driver = async)");
+    }
+  }
+  for (const std::string& key : {spec.sweep_key, spec.sweep2_key}) {
+    if (key.rfind("net.", 0) == 0) {
+      return InvalidExperiment(
+          spec, "sweep key '" + key +
+                    "' configures the async driver's network model and does "
+                    "not apply to driver = " +
+                    spec.driver + " (use driver = async)");
+    }
   }
   return Status::OK();
+}
+
+/// The churn.* plan family: join-capable swarm protocols only, never
+/// combined with failure.kind, and initial/max_alive within hosts.
+Status ValidateChurnSpec(const ScenarioSpec& spec,
+                         const ProtocolDef& protocol) {
+  if (!SpecUsesChurn(spec)) return Status::OK();
+  if (!protocol.make_swarm) {
+    return InvalidExperiment(spec, "protocol '" + spec.protocol +
+                                       "' owns its whole trial loop and does "
+                                       "not execute churn.* plans");
+  }
+  if (!protocol.join_capable) {
+    return InvalidExperiment(
+        spec, "protocol '" + spec.protocol +
+                  "' cannot admit hosts (no on_join reset hook); churn.* "
+                  "keys require a join-capable protocol — see `dynagg_run "
+                  "--list`");
+  }
+  DYNAGG_ASSIGN_OR_RETURN(const ChurnConfig churn, ParseChurnConfig(spec));
+  if (!churn.enabled) return Status::OK();
+  DYNAGG_ASSIGN_OR_RETURN(const FailureConfig fail, ParseFailureConfig(spec));
+  if (fail.kind != FailureConfig::Kind::kNone) {
+    return InvalidExperiment(
+        spec,
+        "churn.* and failure.kind cannot be combined: churn plans cover "
+        "deaths via churn.death_prob (and their rebirths RESET host state, "
+        "unlike failure churn's silent revives)");
+  }
+  if (spec.Sweeps("hosts")) return Status::OK();
+  if (churn.initial > spec.hosts) {
+    return InvalidExperiment(spec, "churn.initial = " +
+                                       std::to_string(churn.initial) +
+                                       " exceeds hosts = " +
+                                       std::to_string(spec.hosts));
+  }
+  if (churn.max_alive > spec.hosts) {
+    return InvalidExperiment(
+        spec, "churn.max_alive = " + std::to_string(churn.max_alive) +
+                  " exceeds hosts = " + std::to_string(spec.hosts) +
+                  " (the universe is fixed; raise hosts to leave room for "
+                  "growth)");
+  }
+  return Status::OK();
+}
+
+/// `driver = rounds`: the churn and failure plans, the metric catalog
+/// (with the protocol's extra selectors and the capabilities bandwidth and
+/// gossip_bytes call on), the record.* knobs and windows, and the seeds.*
+/// streams. Whole-trial runners validate their own surface.
+Status ValidateRoundsSpec(const ScenarioSpec& spec,
+                          const ProtocolDef& protocol) {
+  DYNAGG_RETURN_IF_ERROR(RejectNetKeys(spec));
+  DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(spec, protocol));
+  if (spec.gossip_period > 0 || spec.sample_period > 0) {
+    return InvalidExperiment(
+        spec,
+        "gossip_period / sample_period configure the event-driven drivers "
+        "(trace, async); driver = " +
+            spec.driver + " advances in rounds");
+  }
+  if (!protocol.make_swarm) return Status::OK();
+  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
+      "seeds.",
+      {"round_stream", "failure_stream", "workload_stream", "churn_stream"}));
+  DYNAGG_ASSIGN_OR_RETURN(const MetricFlags metrics,
+                          ClassifyDriverMetrics(spec, protocol.extra_metrics));
+  if (metrics.gossip_bytes && !protocol.models_gossip_bytes) {
+    return InvalidExperiment(spec, "protocol '" + spec.protocol +
+                                       "' does not model the gossip_bytes "
+                                       "metric");
+  }
+  if (metrics.bandwidth && !protocol.bandwidth_capable) {
+    return InvalidExperiment(spec, "protocol '" + spec.protocol +
+                                       "' does not support the bandwidth "
+                                       "metric");
+  }
+  DYNAGG_ASSIGN_OR_RETURN(
+      const RecordConfig cfg,
+      ParseRecordConfig(spec, protocol.extra_record_keys));
+  DYNAGG_RETURN_IF_ERROR(ParseFailureConfig(spec).status());
+  if (spec.Sweeps("rounds")) return Status::OK();
+  return CheckRecordWindows(spec, metrics, cfg);
+}
+
+/// `driver = trace`: a trace-providing environment, a trace-capable
+/// protocol, no round-indexed keys, and the trace metric catalog.
+Status ValidateTraceSpec(const ScenarioSpec& spec,
+                         const ProtocolDef& protocol) {
+  DYNAGG_RETURN_IF_ERROR(RejectNetKeys(spec));
+  DYNAGG_RETURN_IF_ERROR(RejectChurnPlans(spec, " has no rounds"));
+  DYNAGG_ASSIGN_OR_RETURN(const EnvironmentDef environment,
+                          EnvironmentRegistry().Find(spec.environment));
+  if (!environment.provides_trace) {
+    return InvalidExperiment(
+        spec, "driver = " + spec.driver +
+                  " replays a contact trace, but environment '" +
+                  spec.environment +
+                  "' does not provide one (use haggle or another trace "
+                  "environment)");
+  }
+  if (!protocol.trace_capable) {
+    return InvalidExperiment(spec, "protocol '" + spec.protocol +
+                                       "' does not support driver = " +
+                                       spec.driver +
+                                       " (no group-truth hooks)");
+  }
+  if (spec.rounds_set || spec.Sweeps("rounds")) {
+    return InvalidExperiment(
+        spec, "rounds does not apply to driver = " + spec.driver +
+                  " (the trace horizon and gossip_period govern the run "
+                  "length)");
+  }
+  // Failure plans are round-indexed; the event-driven timeline has no
+  // rounds.
+  for (const auto& [key, value] : spec.params) {
+    if (key.rfind("failure.", 0) == 0) {
+      return InvalidExperiment(
+          spec, "'" + key + "' does not apply to driver = " + spec.driver +
+                    " (failure plans are round-indexed; the trace timeline "
+                    "has no rounds)");
+    }
+  }
+  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("seeds.", {"round_stream"}));
+  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {}));
+  return CheckMetricsSupported(spec, {"rms", "avg_group_size"});
 }
 
 }  // namespace
@@ -498,11 +581,9 @@ namespace internal {
 
 void RegisterBuiltinDrivers(Registry<DriverDef>& registry) {
   DYNAGG_CHECK(
-      registry.Register("rounds", {RunRoundsDriver, /*event_driven=*/false})
-          .ok());
+      registry.Register("rounds", {RunRoundsDriver, ValidateRoundsSpec}).ok());
   DYNAGG_CHECK(
-      registry.Register("trace", {RunTraceDriver, /*event_driven=*/true})
-          .ok());
+      registry.Register("trace", {RunTraceDriver, ValidateTraceSpec}).ok());
   RegisterAsyncDriver(registry);
 }
 

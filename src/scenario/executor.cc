@@ -12,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "scenario/async_driver.h"
-#include "scenario/config.h"
 #include "scenario/trial.h"
 
 namespace dynagg {
@@ -577,105 +575,6 @@ ResultTable AssembleTelemetrySummary(
   return ResultTable{"telemetry", std::move(table)};
 }
 
-/// Whether `spec` declares any churn.* key (parameter or sweep axis).
-bool SpecUsesChurn(const ScenarioSpec& spec) {
-  for (const auto& [key, value] : spec.params) {
-    if (key.rfind("churn.", 0) == 0) return true;
-  }
-  return spec.sweep_key.rfind("churn.", 0) == 0 ||
-         spec.sweep2_key.rfind("churn.", 0) == 0;
-}
-
-/// Spec-only validation of the churn.* plan family: churn runs only under
-/// the rounds driver on join-capable swarm protocols, cannot be combined
-/// with failure.kind, and its knob ranges (incl. initial/max_alive vs the
-/// variant's hosts) must hold for the base spec and every swept variant.
-/// `hosts_known` is false when another sweep axis writes hosts, making this
-/// spec's own value a placeholder that never executes — the comparisons
-/// against it are skipped and covered by that axis's per-variant pass.
-Status ValidateChurnSpec(const ScenarioSpec& spec, const ProtocolDef& protocol,
-                         const DriverDef& driver, bool hosts_known) {
-  const auto invalid = [&](const std::string& what) {
-    return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
-  };
-  if (!SpecUsesChurn(spec)) return Status::OK();
-  if (driver.event_driven || driver.message_level) {
-    return invalid(
-        "churn.* plans are round-indexed and only the rounds driver "
-        "executes them; driver = " +
-        spec.driver +
-        (driver.message_level
-             ? " needs event-indexed membership plans, which are not "
-               "implemented yet (see docs/spec_reference.md)"
-             : " has no rounds"));
-  }
-  if (!protocol.make_swarm) {
-    return invalid("protocol '" + spec.protocol +
-                   "' owns its whole trial loop and does not execute "
-                   "churn.* plans");
-  }
-  if (!protocol.join_capable) {
-    return invalid("protocol '" + spec.protocol +
-                   "' cannot admit hosts (no on_join reset hook); churn.* "
-                   "keys require a join-capable protocol — see `dynagg_run "
-                   "--list`");
-  }
-  DYNAGG_ASSIGN_OR_RETURN(const ChurnConfig churn, ParseChurnConfig(spec));
-  if (churn.enabled) {
-    DYNAGG_ASSIGN_OR_RETURN(const FailureConfig fail,
-                            ParseFailureConfig(spec));
-    if (fail.kind != FailureConfig::Kind::kNone) {
-      return invalid(
-          "churn.* and failure.kind cannot be combined: churn plans cover "
-          "deaths via churn.death_prob (and their rebirths RESET host "
-          "state, unlike failure churn's silent revives)");
-    }
-    if (!hosts_known) return Status::OK();
-    if (churn.initial > spec.hosts) {
-      return invalid("churn.initial = " + std::to_string(churn.initial) +
-                     " exceeds hosts = " + std::to_string(spec.hosts));
-    }
-    if (churn.max_alive > spec.hosts) {
-      return invalid(
-          "churn.max_alive = " + std::to_string(churn.max_alive) +
-          " exceeds hosts = " + std::to_string(spec.hosts) +
-          " (the universe is fixed; raise hosts to leave room for growth)");
-    }
-  }
-  return Status::OK();
-}
-
-/// Spec-only preflight of the plain rounds driver, mirroring DriveRounds'
-/// own setup checks so an unknown seeds.* stream or an empty metric window
-/// fails --dry-run, not mid-run. Applied to the base spec and to each
-/// swept variant — a rounds sweep can empty a window the base spec
-/// satisfies. `rounds_known` is false when another sweep axis writes
-/// rounds, making this spec's own value a placeholder that never executes
-/// — the window checks against it are skipped (that axis's per-variant
-/// pass and DriveRounds itself still run them with the real value).
-Status ValidateRoundsDriverSpec(const ScenarioSpec& spec,
-                                const ProtocolDef& protocol,
-                                bool rounds_known) {
-  DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
-      "seeds.",
-      {"round_stream", "failure_stream", "workload_stream", "churn_stream"}));
-  DYNAGG_ASSIGN_OR_RETURN(const MetricFlags metrics,
-                          ClassifyDriverMetrics(spec, protocol.extra_metrics));
-  if (metrics.gossip_bytes && !protocol.models_gossip_bytes) {
-    return Status::InvalidArgument(
-        "experiment '" + spec.name + "': protocol '" + spec.protocol +
-        "' does not model the gossip_bytes metric");
-  }
-  DYNAGG_ASSIGN_OR_RETURN(
-      const RecordConfig cfg,
-      ParseRecordConfig(spec, protocol.extra_record_keys));
-  // The failure.* plan is parsed from the spec alone; an unknown knob or a
-  // bad kind/range should not wait for the trial loop to reject it.
-  DYNAGG_RETURN_IF_ERROR(ParseFailureConfig(spec).status());
-  if (!rounds_known) return Status::OK();
-  return CheckRecordWindows(spec, metrics, cfg);
-}
-
 }  // namespace
 
 Status ValidateExperiment(const ScenarioSpec& spec) {
@@ -692,20 +591,6 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
                           EnvironmentRegistry().Find(spec.environment));
   DYNAGG_ASSIGN_OR_RETURN(const DriverDef driver,
                           DriverRegistry().Find(spec.driver));
-  // A sweep axis that writes hosts or rounds makes the base spec's own
-  // field a placeholder no unit ever executes with; checks that read it
-  // skip the placeholder and rely on that axis's per-variant pass below.
-  const bool sweep1_hosts = spec.sweep_key == "hosts";
-  const bool sweep2_hosts = spec.sweep2_key == "hosts";
-  const bool sweep1_rounds = spec.sweep_key == "rounds";
-  const bool sweep2_rounds = spec.sweep2_key == "rounds";
-  // Environment knobs (env.* allowlist, ranges, hosts/degree consistency)
-  // are spec-only; reject them here rather than at trial setup. Skipped
-  // for the rare protocols that never build an environment.
-  if (environment.validate && protocol.uses_environment && !sweep1_hosts &&
-      !sweep2_hosts) {
-    DYNAGG_RETURN_IF_ERROR(environment.validate(spec));
-  }
   if (!spec.telemetry.empty() && spec.telemetry != "off" &&
       spec.telemetry != "summary" && spec.telemetry != "profile") {
     return invalid("telemetry must be off, summary or profile, got '" +
@@ -735,80 +620,6 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
       }
     }
   }
-  // The net.* keys and the per-message seed stream configure the async
-  // driver's network model; on any other driver they would be silently
-  // ignored. Mirrors the workload rejection above.
-  if (!driver.message_level) {
-    for (const auto& [key, value] : spec.params) {
-      if (key.rfind("net.", 0) == 0 || key == "seeds.message_stream") {
-        return invalid("'" + key +
-                       "' configures the async driver's network model and "
-                       "does not apply to driver = " +
-                       spec.driver + " (use driver = async)");
-      }
-    }
-    for (const std::string& key : {spec.sweep_key, spec.sweep2_key}) {
-      if (key.rfind("net.", 0) == 0) {
-        return invalid("sweep key '" + key +
-                       "' configures the async driver's network model and "
-                       "does not apply to driver = " +
-                       spec.driver + " (use driver = async)");
-      }
-    }
-  }
-  // churn.* plans run under the rounds driver on join-capable protocols
-  // only; anywhere else they would be silently ignored. Mirrors the
-  // workload/net rejections above, plus knob-range checks so a bad plan
-  // fails --dry-run, not mid-run.
-  DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(
-      spec, protocol, driver, /*hosts_known=*/!sweep1_hosts && !sweep2_hosts));
-  if (driver.message_level) {
-    DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(spec, protocol));
-  } else if (driver.event_driven) {
-    if (!environment.provides_trace) {
-      return invalid("driver = " + spec.driver +
-                     " replays a contact trace, but environment '" +
-                     spec.environment +
-                     "' does not provide one (use haggle or another trace "
-                     "environment)");
-    }
-    if (!protocol.trace_capable) {
-      return invalid("protocol '" + spec.protocol +
-                     "' does not support driver = " + spec.driver +
-                     " (no group-truth hooks)");
-    }
-    if (spec.rounds_set || spec.sweep_key == "rounds" ||
-        spec.sweep2_key == "rounds") {
-      return invalid(
-          "rounds does not apply to driver = " + spec.driver +
-          " (the trace horizon and gossip_period govern the run length)");
-    }
-    // Failure plans are round-indexed; the event-driven timeline has no
-    // rounds. Mirrors the trace driver's run-time rejection so the
-    // mismatch fails --dry-run.
-    for (const auto& [key, value] : spec.params) {
-      if (key.rfind("failure.", 0) == 0) {
-        return invalid("'" + key + "' does not apply to driver = " +
-                       spec.driver +
-                       " (failure plans are round-indexed; the trace "
-                       "timeline has no rounds)");
-      }
-    }
-    DYNAGG_RETURN_IF_ERROR(
-        CheckMetricsSupported(spec, {"rms", "avg_group_size"}));
-  } else if (spec.gossip_period > 0 || spec.sample_period > 0) {
-    return invalid(
-        "gossip_period / sample_period configure the event-driven drivers "
-        "(trace, async); driver = " +
-        spec.driver + " advances in rounds");
-  } else if (protocol.make_swarm) {
-    // The rounds driver's metric catalog, record.* knobs, metric windows
-    // and seeds.* streams are static per protocol, so selector typos,
-    // malformed rounds_below/recovery/quantile arguments, unknown record
-    // or seed-stream keys and empty windows fail --dry-run, not mid-run.
-    DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(
-        spec, protocol, /*rounds_known=*/!sweep1_rounds && !sweep2_rounds));
-  }
   DYNAGG_RETURN_IF_ERROR(ValidateMetricList(spec.metrics));
   DYNAGG_RETURN_IF_ERROR(ValidateAggregateList(spec.aggregates));
   if (!spec.aggregates.empty() && spec.trials < 2) {
@@ -837,48 +648,43 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
       return invalid("sweep2 over '" + spec.sweep2_key + "' has no values");
     }
   }
-  // Dry-apply every sweep value so e.g. a fractional hosts sweep fails in
-  // --dry-run, not halfway through a long run; validate the protocol's
-  // knobs on the base spec and on each swept variant (a sweep may write an
-  // out-of-range or non-numeric value into a validated parameter).
-  if (protocol.validate) DYNAGG_RETURN_IF_ERROR(protocol.validate(spec));
-  const bool plain_rounds =
-      !driver.message_level && !driver.event_driven && protocol.make_swarm;
-  // Each axis's variants carry real values for its own key but still the
-  // base placeholder for the other axis's hosts/rounds, so the same
-  // skip-the-placeholder rule applies per axis.
-  for (const double v : spec.sweep_values) {
-    DYNAGG_ASSIGN_OR_RETURN(const ScenarioSpec swept,
-                            ApplySweepKey(spec, spec.sweep_key, v));
-    if (protocol.validate) DYNAGG_RETURN_IF_ERROR(protocol.validate(swept));
-    if (environment.validate && protocol.uses_environment && !sweep2_hosts) {
-      DYNAGG_RETURN_IF_ERROR(environment.validate(swept));
+  // The environment, driver and protocol validate the base spec and every
+  // unit's resolved spec (a sweep may write an out-of-range or non-numeric
+  // value into a validated key, or empty a window the base spec
+  // satisfies; two axes cross, so a window may empty only in one pairing
+  // of their values). Dry-applying each sweep value also rejects e.g. a
+  // fractional hosts sweep before anything runs. The base spec's swept
+  // fields are placeholders no unit runs with; checks skip them through
+  // Sweeps().
+  std::vector<ScenarioSpec> variants = {spec};
+  for (const bool second : {false, true}) {
+    const std::string& key = second ? spec.sweep2_key : spec.sweep_key;
+    if (key.empty()) continue;
+    std::vector<ScenarioSpec> resolved;
+    for (const ScenarioSpec& unit : variants) {
+      for (const double v : second ? spec.sweep2_values : spec.sweep_values) {
+        DYNAGG_ASSIGN_OR_RETURN(ScenarioSpec swept,
+                                ApplySweepKey(unit, key, v));
+        (second ? swept.sweep2_key : swept.sweep_key).clear();
+        resolved.push_back(std::move(swept));
+      }
     }
-    DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(swept, protocol, driver,
-                                             /*hosts_known=*/!sweep2_hosts));
-    if (plain_rounds) {
-      DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(
-          swept, protocol, /*rounds_known=*/!sweep2_rounds));
-    }
-    if (driver.message_level) {
-      DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(swept, protocol));
-    }
+    variants = std::move(resolved);
   }
-  for (const double v : spec.sweep2_values) {
-    DYNAGG_ASSIGN_OR_RETURN(const ScenarioSpec swept,
-                            ApplySweepKey(spec, spec.sweep2_key, v));
-    if (protocol.validate) DYNAGG_RETURN_IF_ERROR(protocol.validate(swept));
-    if (environment.validate && protocol.uses_environment && !sweep1_hosts) {
-      DYNAGG_RETURN_IF_ERROR(environment.validate(swept));
+  if (!spec.sweep_key.empty()) variants.insert(variants.begin(), spec);
+  for (const ScenarioSpec& variant : variants) {
+    // Environment knobs (env.* allowlist, ranges, hosts/degree
+    // consistency) are spec-only; skipped for the rare protocols that
+    // never build an environment.
+    if (environment.validate && protocol.uses_environment &&
+        !variant.Sweeps("hosts")) {
+      DYNAGG_RETURN_IF_ERROR(environment.validate(variant));
     }
-    DYNAGG_RETURN_IF_ERROR(ValidateChurnSpec(swept, protocol, driver,
-                                             /*hosts_known=*/!sweep1_hosts));
-    if (plain_rounds) {
-      DYNAGG_RETURN_IF_ERROR(ValidateRoundsDriverSpec(
-          swept, protocol, /*rounds_known=*/!sweep1_rounds));
+    if (driver.validate) {
+      DYNAGG_RETURN_IF_ERROR(driver.validate(variant, protocol));
     }
-    if (driver.message_level) {
-      DYNAGG_RETURN_IF_ERROR(ValidateAsyncSpec(swept, protocol));
+    if (protocol.validate) {
+      DYNAGG_RETURN_IF_ERROR(protocol.validate(variant));
     }
   }
   return Status::OK();

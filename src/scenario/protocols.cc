@@ -1,12 +1,12 @@
-// Builtin protocol catalog: SwarmFactories for the Driver API.
+// Builtin protocol catalog: swarm protocols for the Driver API.
 //
-// A registered protocol builds its swarm for one trial and declares the
-// measurement hooks as a type-erased SwarmHandle (scenario/trial.h); which
-// time loop runs it — the synchronous round loop or event-driven trace
-// playback — is the driver's business (scenario/drivers.cc), selected by
-// `driver = rounds | trace` in the spec. Factories validate their
-// protocol.* parameters, draw the paper's U[0,100) value workload from the
-// trial seed, and bundle swarm + storage into the handle's keepalive.
+// Each swarm protocol is a parse function (its protocol.* knobs, shared by
+// `--dry-run` and every trial) and a build step that draws the paper's
+// U[0,100) value workload from the trial seed and pairs the swarm with its
+// truth family. RegisterSwarm (scenario/swarm_registration.h) turns the
+// pair into the type-erased SwarmHandle the drivers call and derives the
+// protocol's capabilities from the same types; which time loop runs it is
+// the driver's business (scenario/drivers.cc, scenario/async_driver.cc).
 //
 // Protocols whose trial structure fits no shared driver register a custom
 // whole-trial runner instead: the TAG overlay baseline (tag-tree) owns its
@@ -41,6 +41,7 @@
 #include "common/stats.h"
 #include "env/connectivity.h"
 #include "scenario/config.h"
+#include "scenario/swarm_registration.h"
 #include "scenario/trial.h"
 #include "sim/bandwidth.h"
 #include "sim/metrics.h"
@@ -78,13 +79,6 @@ Result<int> CheckedHosts(const EnvHandle& env) {
   return n;
 }
 
-/// Adapts a Result<Params>-returning spec parser into the ProtocolDef's
-/// validate hook, so `--dry-run` runs exactly the parse execution would.
-template <typename Parse>
-std::function<Status(const ScenarioSpec&)> SpecValidator(Parse parse) {
-  return [parse](const ScenarioSpec& spec) { return parse(spec).status(); };
-}
-
 // ----------------------------------------------- spec parameter parsing ---
 //
 // One parse function per protocol, shared between the SwarmFactory (which
@@ -104,8 +98,12 @@ Result<GossipMode> ParsePushSumSpec(const ScenarioSpec& spec) {
   return mode;
 }
 
-Status ParsePushFlowSpec(const ScenarioSpec& spec) {
-  return spec.CheckParams("protocol.", {});
+/// The parsed knobs of a protocol that has none.
+struct NoParams {};
+
+Result<NoParams> ParsePushFlowSpec(const ScenarioSpec& spec) {
+  DYNAGG_RETURN_IF_ERROR(spec.CheckParams("protocol.", {}));
+  return NoParams{};
 }
 
 Result<PsrParams> ParsePsrSpec(const ScenarioSpec& spec) {
@@ -181,162 +179,101 @@ Result<FullTransferParams> ParseFullTransferSpec(const ScenarioSpec& spec) {
   return params;
 }
 
-// ----------------------------------------------------- handle assembly ---
+// ------------------------------------------------------- truth families ---
+//
+// Each build step below pairs its swarm with a truth family (SwarmParts in
+// scenario/swarm_registration.h). The families that know per-group truths
+// are the ones that make a protocol trace-capable.
 
-/// Wires the traffic-meter hook when the swarm type has one.
-template <typename Swarm>
-void MaybeSetMeter(SwarmHandle& h, Swarm* swarm) {
-  if constexpr (requires(Swarm& s, TrafficMeter* m) {
-                  s.set_traffic_meter(m);
-                }) {
-    h.set_meter = [swarm](TrafficMeter* m) { swarm->set_traffic_meter(m); };
+/// Averaging swarms: Estimate() per host, the live average of the value
+/// workload as truth, per-group means for trace playback, and the values
+/// backing kill_top_fraction.
+struct AverageTruth {
+  const std::vector<double>* values;
+  template <typename Swarm>
+  double Estimate(const Swarm& swarm, HostId id) const {
+    return swarm.Estimate(id);
   }
-}
-
-/// Wires the churn-join reset hook when the swarm type has one. Protocols
-/// whose swarm exposes OnJoin must also register join_capable = true so
-/// `--dry-run` can vet churn.* specs without building swarms.
-template <typename Swarm>
-void MaybeSetOnJoin(SwarmHandle& h, Swarm* swarm) {
-  if constexpr (requires(Swarm& s, HostId id) { s.OnJoin(id); }) {
-    h.on_join = [swarm](HostId id) { swarm->OnJoin(id); };
-  }
-}
-
-/// Owns a value workload plus the swarm built over it (swarm constructors
-/// take the values by reference, so member order matters).
-template <typename Swarm>
-struct ValueSwarmBox {
-  std::vector<double> values;
-  Swarm swarm;
-  template <typename... Args>
-  explicit ValueSwarmBox(std::vector<double> v, Args&&... args)
-      : values(std::move(v)), swarm(values, std::forward<Args>(args)...) {}
-};
-
-/// Handle for averaging swarms: Estimate() per host, live-average truth,
-/// per-group mean truth for trace playback, values backing
-/// kill_top_fraction.
-template <typename Box>
-SwarmHandle AveragingHandle(std::shared_ptr<Box> box, double state_bytes) {
-  SwarmHandle h;
-  auto* swarm = &box->swarm;
-  const std::vector<double>* values = &box->values;
-  h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
-    swarm->RunRound(e, p, r);
-  };
-  SetEstimate(h, [swarm](HostId id) { return swarm->Estimate(id); });
-  h.truth = [values](const Population& pop) {
+  double operator()(const Population& pop) const {
     return TrueAverage(*values, pop);
-  };
-  h.group_truths = [values](const std::vector<int>& labels,
-                            const std::vector<int>& sizes) {
+  }
+  std::vector<double> GroupTruths(const std::vector<int>& labels,
+                                  const std::vector<int>& sizes) const {
     return GroupMeans(labels, sizes, *values);
-  };
-  h.failure_values = values;
-  h.state_bytes = state_bytes;
-  MaybeSetMeter(h, swarm);
-  MaybeSetOnJoin(h, swarm);
-  h.keepalive = std::move(box);
-  return h;
-}
-
-/// Owns a multiplicity workload plus a counting-sketch swarm over it.
-template <typename Swarm, typename Params>
-struct CountSwarmBox {
-  std::vector<int64_t> mult;
-  Swarm swarm;
-  CountSwarmBox(std::vector<int64_t> m, const Params& params)
-      : mult(std::move(m)), swarm(mult, params) {}
+  }
 };
 
-/// Handle for counting swarms: EstimateCount() per host, live total-count
+/// Counting swarms: EstimateCount() per host, the live total count as
 /// truth; trace playback compares the per-identifier estimate scaled back
 /// to devices against the host's group size (Fig 11's dynamic size).
-template <typename Box>
-SwarmHandle CountingHandle(std::shared_ptr<Box> box, double state_bytes) {
-  SwarmHandle h;
-  auto* swarm = &box->swarm;
-  const std::vector<int64_t>* mult = &box->mult;
-  h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
-    swarm->RunRound(e, p, r);
-  };
-  SetEstimate(h, [swarm](HostId id) { return swarm->EstimateCount(id); });
-  h.truth = [mult](const Population& pop) {
+struct CountTruth {
+  const std::vector<int64_t>* mult;
+  template <typename Swarm>
+  double Estimate(const Swarm& swarm, HostId id) const {
+    return swarm.EstimateCount(id);
+  }
+  double operator()(const Population& pop) const {
     int64_t total = 0;
     for (const HostId id : pop.alive_ids()) total += (*mult)[id];
     return static_cast<double>(total);
-  };
-  h.group_estimate = [swarm, mult](HostId id) {
-    return swarm->EstimateCount(id) / static_cast<double>((*mult)[id]);
-  };
-  h.group_truths = [](const std::vector<int>&, const std::vector<int>& sizes) {
+  }
+  template <typename Swarm>
+  double GroupEstimate(const Swarm& swarm, HostId id) const {
+    return swarm.EstimateCount(id) / static_cast<double>((*mult)[id]);
+  }
+  std::vector<double> GroupTruths(const std::vector<int>&,
+                                  const std::vector<int>& sizes) const {
     return std::vector<double>(sizes.begin(), sizes.end());
-  };
-  h.state_bytes = state_bytes;
-  MaybeSetMeter(h, swarm);
-  MaybeSetOnJoin(h, swarm);
-  h.keepalive = std::move(box);
-  return h;
+  }
+};
+
+// ---------------------------------------------------------- swarm boxes ---
+
+/// Owns a per-host workload (values, or multiplicities for the counting
+/// sketches) plus the swarm built over it (swarm constructors take the
+/// workload by reference, so member order matters).
+template <typename Swarm, typename Workload = std::vector<double>>
+struct SwarmBox {
+  Workload workload;
+  Swarm swarm;
+  template <typename... Args>
+  explicit SwarmBox(Workload w, Args&&... args)
+      : workload(std::move(w)), swarm(workload, std::forward<Args>(args)...) {}
+};
+
+/// An averaging swarm over the trial's U[0,100) value workload; `args`
+/// follow the values in the swarm's constructor.
+template <typename Swarm, typename... Args>
+SwarmParts<Swarm, AverageTruth> AveragingSwarm(const TrialContext& ctx,
+                                               int n, double state_bytes,
+                                               Args&&... args) {
+  auto box = std::make_shared<SwarmBox<Swarm>>(
+      UniformWorkloadValues(n, ctx.trial_seed), std::forward<Args>(args)...);
+  return {box, &box->swarm, AverageTruth{&box->workload}, state_bytes};
 }
 
 // --------------------------------------------------- averaging protocols ---
 
-Result<SwarmHandle> MakePushSum(const TrialContext& ctx, EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const GossipMode mode, ParsePushSumSpec(*ctx.spec));
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<PushSumSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed), mode);
-  PushSumSwarm* swarm = &box->swarm;
-  SwarmHandle h = AveragingHandle(std::move(box), 2.0 * sizeof(double));
-  if (mode == GossipMode::kPush) {
-    // Message-level hooks (`driver = async`): a tick halves each sender's
-    // mass and ships the other half; the pairwise push/pull exchange has
-    // no message decomposition (rejected by ParsePushSumSpec).
-    h.async_tick = [swarm](const Environment& e, const Population& p, Rng& r,
-                           std::vector<net::Message>* out) {
-      swarm->PlanAsyncTick(e, p, r, out);
-    };
-    h.async_deliver = [swarm](const net::Message& m) {
-      swarm->DeliverMass(m);
-    };
-    h.message_bytes = static_cast<double>(kMassMessageBytes);
-  }
-  return h;
+SwarmParts<PushSumSwarm, AverageTruth> BuildPushSum(const TrialContext& ctx,
+                                                    int n, GossipMode mode) {
+  return AveragingSwarm<PushSumSwarm>(ctx, n, 2.0 * sizeof(double), mode);
 }
 
-Result<SwarmHandle> MakePushFlow(const TrialContext& ctx, EnvHandle& env) {
-  DYNAGG_RETURN_IF_ERROR(ParsePushFlowSpec(*ctx.spec));
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<PushFlowSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed));
-  PushFlowSwarm* swarm = &box->swarm;
+SwarmParts<PushFlowSwarm, AverageTruth> BuildPushFlow(const TrialContext& ctx,
+                                                      int n, NoParams) {
   // State: the initial value, the two flow sums, plus the sparse per-edge
   // flow entries (amortized ~one long-lived neighbor under uniform push).
-  SwarmHandle h = AveragingHandle(std::move(box), 6.0 * sizeof(double));
-  h.async_tick = [swarm](const Environment& e, const Population& p, Rng& r,
-                         std::vector<net::Message>* out) {
-    swarm->PlanAsyncTick(e, p, r, out);
-  };
-  h.async_deliver = [swarm](const net::Message& m) { swarm->DeliverFlow(m); };
-  h.message_bytes = static_cast<double>(kFlowMessageBytes);
-  return h;
+  return AveragingSwarm<PushFlowSwarm>(ctx, n, 6.0 * sizeof(double));
 }
 
-Result<SwarmHandle> MakePushSumRevert(const TrialContext& ctx,
-                                      EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const PsrParams params, ParsePsrSpec(*ctx.spec));
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<PushSumRevertSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed), params);
-  return AveragingHandle(std::move(box), 3.0 * sizeof(double));
+SwarmParts<PushSumRevertSwarm, AverageTruth> BuildPushSumRevert(
+    const TrialContext& ctx, int n, const PsrParams& params) {
+  return AveragingSwarm<PushSumRevertSwarm>(ctx, n, 3.0 * sizeof(double),
+                                            params);
 }
 
-Result<SwarmHandle> MakeEpochPushSum(const TrialContext& ctx,
-                                     EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const EpochSpecParams cfg,
-                          ParseEpochSpec(*ctx.spec));
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
+SwarmParts<EpochPushSumSwarm, AverageTruth> BuildEpochPushSum(
+    const TrialContext& ctx, int n, const EpochSpecParams& cfg) {
   std::vector<int> phases;
   if (cfg.phase_spread > 0) {
     phases.resize(n);
@@ -353,34 +290,19 @@ Result<SwarmHandle> MakeEpochPushSum(const TrialContext& ctx,
           prng.UniformInt(static_cast<uint64_t>(cfg.params.epoch_length)));
     }
   }
-  auto box = std::make_shared<ValueSwarmBox<EpochPushSumSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed), cfg.params, phases);
-  return AveragingHandle(std::move(box), /*state_bytes=*/0.0);
+  return AveragingSwarm<EpochPushSumSwarm>(ctx, n, /*state_bytes=*/0.0,
+                                           cfg.params, phases);
 }
 
-Result<SwarmHandle> MakeFullTransfer(const TrialContext& ctx,
-                                     EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const FullTransferParams params,
-                          ParseFullTransferSpec(*ctx.spec));
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<FullTransferSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed), params);
+SwarmParts<FullTransferSwarm, AverageTruth> BuildFullTransfer(
+    const TrialContext& ctx, int n, const FullTransferParams& params) {
   // State: the mass plus the estimate window of <weight, value> pairs.
   const double state_bytes =
       (2.0 + 2.0 * static_cast<double>(params.window)) * sizeof(double);
-  return AveragingHandle(std::move(box), state_bytes);
+  return AveragingSwarm<FullTransferSwarm>(ctx, n, state_bytes, params);
 }
 
 // ------------------------------------------------------------- extremes ---
-
-struct ExtremesBox {
-  std::vector<double> values;
-  std::vector<uint64_t> keys;
-  DynamicExtremeSwarm swarm;
-  ExtremesBox(std::vector<double> v, std::vector<uint64_t> k,
-              const ExtremeParams& params)
-      : values(std::move(v)), keys(std::move(k)), swarm(values, keys, params) {}
-};
 
 Result<ExtremeParams> ParseExtremesSpec(const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(
@@ -406,23 +328,14 @@ Result<ExtremeParams> ParseExtremesSpec(const ScenarioSpec& spec) {
   return params;
 }
 
-Result<SwarmHandle> MakeExtremes(const TrialContext& ctx, EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const ExtremeParams params,
-                          ParseExtremesSpec(*ctx.spec));
-  const ExtremeKind kind = params.kind;
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  std::vector<uint64_t> keys(n);
-  std::iota(keys.begin(), keys.end(), uint64_t{0});
-  auto box = std::make_shared<ExtremesBox>(
-      UniformWorkloadValues(n, ctx.trial_seed), std::move(keys), params);
-  SwarmHandle h;
-  DynamicExtremeSwarm* swarm = &box->swarm;
-  const std::vector<double>* values = &box->values;
-  h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
-    swarm->RunRound(e, p, r);
-  };
-  SetEstimate(h, [swarm](HostId id) { return swarm->Estimate(id); });
-  h.truth = [values, kind](const Population& pop) {
+/// The live maximum (or minimum) of the value workload.
+struct ExtremeTruth {
+  const std::vector<double>* values;
+  ExtremeKind kind;
+  double Estimate(const DynamicExtremeSwarm& swarm, HostId id) const {
+    return swarm.Estimate(id);
+  }
+  double operator()(const Population& pop) const {
     bool first = true;
     double best = 0.0;
     for (const HostId id : pop.alive_ids()) {
@@ -433,13 +346,18 @@ Result<SwarmHandle> MakeExtremes(const TrialContext& ctx, EnvHandle& env) {
       }
     }
     return best;
-  };
-  h.failure_values = values;
-  h.state_bytes = 0.0;
-  MaybeSetMeter(h, swarm);
-  MaybeSetOnJoin(h, swarm);
-  h.keepalive = std::move(box);
-  return h;
+  }
+};
+
+SwarmParts<DynamicExtremeSwarm, ExtremeTruth> BuildExtremes(
+    const TrialContext& ctx, int n, const ExtremeParams& params) {
+  // Host ids as keys; the swarm copies them into its nodes.
+  std::vector<uint64_t> keys(n);
+  std::iota(keys.begin(), keys.end(), uint64_t{0});
+  auto box = std::make_shared<SwarmBox<DynamicExtremeSwarm>>(
+      UniformWorkloadValues(n, ctx.trial_seed), keys, params);
+  return {box, &box->swarm, ExtremeTruth{&box->workload, params.kind},
+          /*state_bytes=*/0.0};
 }
 
 // ---------------------------------------------------- counting protocols ---
@@ -476,8 +394,9 @@ Status ValidateMultiplicitySpec(const ScenarioSpec& spec) {
   return Status::OK();
 }
 
+/// The per-host multiplicities of a protocol.multiplicity the spec's parse
+/// has validated.
 Result<std::vector<int64_t>> Multiplicities(const TrialContext& ctx, int n) {
-  DYNAGG_RETURN_IF_ERROR(ValidateMultiplicitySpec(*ctx.spec));
   DYNAGG_ASSIGN_OR_RETURN(const std::string text,
                           ctx.spec->ParamString("protocol.multiplicity", "1"));
   if (text == "workload") {
@@ -529,18 +448,17 @@ Result<CountSketchParams> ParseCountSketchSpec(const ScenarioSpec& spec) {
   return params;
 }
 
-Result<SwarmHandle> MakeCountSketch(const TrialContext& ctx, EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const CountSketchParams params,
-                          ParseCountSketchSpec(*ctx.spec));
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
+Result<SwarmParts<CountSketchSwarm, CountTruth>> BuildCountSketch(
+    const TrialContext& ctx, int n, const CountSketchParams& params) {
   DYNAGG_ASSIGN_OR_RETURN(std::vector<int64_t> mult,
                           Multiplicities(ctx, n));
   auto box =
-      std::make_shared<CountSwarmBox<CountSketchSwarm, CountSketchParams>>(
+      std::make_shared<SwarmBox<CountSketchSwarm, std::vector<int64_t>>>(
           std::move(mult), params);
   // One uint64 bit string per bin.
-  return CountingHandle(std::move(box),
-                        static_cast<double>(params.bins) * sizeof(uint64_t));
+  return SwarmParts<CountSketchSwarm, CountTruth>{
+      box, &box->swarm, CountTruth{&box->workload},
+      static_cast<double>(params.bins) * sizeof(uint64_t)};
 }
 
 /// Parses the q list of a `counter_quantiles(q1, q2, ...)` selector (the
@@ -576,6 +494,11 @@ struct CsrSpecParams {
   int64_t attributes = 1;
 };
 
+double GossipBytesModel(const CsrSwarm&, const CsrSpecParams& cfg) {
+  return SketchGossipBytes(cfg.params.bins, cfg.params.levels,
+                           cfg.attributes);
+}
+
 Result<CsrSpecParams> ParseCsrSpec(const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
       "protocol.", {"bins", "levels", "cutoff_base", "cutoff_slope",
@@ -609,21 +532,18 @@ Result<CsrSpecParams> ParseCsrSpec(const ScenarioSpec& spec) {
   return out;
 }
 
-Result<SwarmHandle> MakeCountSketchReset(const TrialContext& ctx,
-                                         EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const CsrSpecParams cfg, ParseCsrSpec(*ctx.spec));
+Result<SwarmParts<CsrSwarm, CountTruth>> BuildCountSketchReset(
+    const TrialContext& ctx, int n, const CsrSpecParams& cfg) {
   const CsrParams params = cfg.params;
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
   DYNAGG_ASSIGN_OR_RETURN(std::vector<int64_t> mult,
                           Multiplicities(ctx, n));
-  auto box = std::make_shared<CountSwarmBox<CsrSwarm, CsrParams>>(
+  auto box = std::make_shared<SwarmBox<CsrSwarm, std::vector<int64_t>>>(
       std::move(mult), params);
   CsrSwarm* swarm = &box->swarm;
   // One byte-sized age counter per (bin, level) slot.
-  SwarmHandle h = CountingHandle(
-      std::move(box), static_cast<double>(params.bins) * params.levels);
-  h.gossip_bytes = SketchGossipBytes(params.bins, params.levels,
-                                     cfg.attributes);
+  SwarmParts<CsrSwarm, CountTruth> parts{
+      box, swarm, CountTruth{&box->workload},
+      static_cast<double>(params.bins) * params.levels};
 
   // Fig 6's bit-counter distribution: pool the N[n][k] age counters over
   // all hosts and bins after the last round and report the per-bit CDF of
@@ -639,8 +559,8 @@ Result<SwarmHandle> MakeCountSketchReset(const TrialContext& ctx,
   // point per sufficiently-sourced bit (>= n/50 + 1 finite counters, the
   // legacy convention), quantiles over a bucketed histogram spanning
   // [0, record.counter_hist_max) with record.counter_hist_buckets buckets.
-  h.finish = [swarm, params, n](const TrialContext& ctx,
-                                Recorder& rec) -> Status {
+  parts.finish = [swarm, params, n](const TrialContext& ctx,
+                                    Recorder& rec) -> Status {
     if (MetricRequested(*ctx.spec, "cdf(counter)")) {
       DYNAGG_ASSIGN_OR_RETURN(const int64_t max_counter,
                               ctx.spec->ParamInt("record.max_counter", 12));
@@ -711,7 +631,7 @@ Result<SwarmHandle> MakeCountSketchReset(const TrialContext& ctx,
     }
     return Status::OK();
   };
-  return h;
+  return parts;
 }
 
 // ------------------------------------------------------- invert-average ---
@@ -720,6 +640,14 @@ struct InvertAverageSpecParams {
   InvertAverageParams params;
   int64_t attributes = 1;
 };
+
+/// One shared size sketch plus two doubles of Push-Sum state per summed
+/// attribute, both directions per initiated exchange.
+double GossipBytesModel(const InvertAverageSwarm&,
+                        const InvertAverageSpecParams& cfg) {
+  return SketchGossipBytes(cfg.params.csr.bins, cfg.params.csr.levels, 1) +
+         static_cast<double>(cfg.attributes) * 2.0 * (2.0 * sizeof(double));
+}
 
 Result<InvertAverageSpecParams> ParseInvertAverageSpec(
     const ScenarioSpec& spec) {
@@ -753,44 +681,33 @@ Result<InvertAverageSpecParams> ParseInvertAverageSpec(
   return out;
 }
 
+/// Invert-Average's dynamic sum: EstimateSum() per host, the live sum of
+/// the value workload as truth.
+struct SumTruth {
+  const std::vector<double>* values;
+  double Estimate(const InvertAverageSwarm& swarm, HostId id) const {
+    return swarm.EstimateSum(id);
+  }
+  double operator()(const Population& pop) const {
+    return TrueSum(*values, pop);
+  }
+};
+
 /// Invert-Average (agg/invert_average.h): dynamic summation as
 /// Count-Sketch-Reset network size x Push-Sum-Revert average. The sketch
 /// cost is amortized across protocol.attributes simultaneous sums while
 /// each sum only adds two doubles of Push-Sum traffic — the bandwidth
 /// argument of Section IV.B, modelled by the gossip_bytes record.
-Result<SwarmHandle> MakeInvertAverage(const TrialContext& ctx,
-                                      EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const InvertAverageSpecParams cfg,
-                          ParseInvertAverageSpec(*ctx.spec));
+SwarmParts<InvertAverageSwarm, SumTruth> BuildInvertAverage(
+    const TrialContext& ctx, int n, const InvertAverageSpecParams& cfg) {
   const InvertAverageParams& params = cfg.params;
-  const int64_t attributes = cfg.attributes;
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<InvertAverageSwarm>>(
+  auto box = std::make_shared<SwarmBox<InvertAverageSwarm>>(
       UniformWorkloadValues(n, ctx.trial_seed), params);
-  InvertAverageSwarm* swarm = &box->swarm;
-  const std::vector<double>* values = &box->values;
-  SwarmHandle h;
-  h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
-    swarm->RunRound(e, p, r);
-  };
-  SetEstimate(h, [swarm](HostId id) { return swarm->EstimateSum(id); });
-  h.truth = [values](const Population& pop) {
-    return TrueSum(*values, pop);
-  };
-  h.failure_values = values;
   // Push-Sum-Revert mass (3 doubles) plus the CSR counter array.
-  h.state_bytes =
+  const double state_bytes =
       3.0 * sizeof(double) +
       static_cast<double>(params.csr.bins) * params.csr.levels;
-  // One shared size sketch plus two doubles of Push-Sum state per summed
-  // attribute, both directions per initiated exchange.
-  h.gossip_bytes =
-      SketchGossipBytes(params.csr.bins, params.csr.levels, 1) +
-      static_cast<double>(attributes) * 2.0 * (2.0 * sizeof(double));
-  MaybeSetMeter(h, swarm);
-  MaybeSetOnJoin(h, swarm);
-  h.keepalive = std::move(box);
-  return h;
+  return {box, &box->swarm, SumTruth{&box->workload}, state_bytes};
 }
 
 // ---------------------------------------------------- serialized facade ---
@@ -840,9 +757,13 @@ class NodeAggregatorSwarm {
   RoundKernel kernel_;
 };
 
+/// Which aggregate the node-aggregator experiment measures
+/// (protocol.metric).
+enum class AggregatorMetric { kAverage, kCount, kSum };
+
 struct NodeAggregatorSpecParams {
   AggregatorConfig config;
-  std::string metric;
+  AggregatorMetric metric = AggregatorMetric::kAverage;
 };
 
 Result<NodeAggregatorSpecParams> ParseNodeAggregatorSpec(
@@ -862,7 +783,7 @@ Result<NodeAggregatorSpecParams> ParseNodeAggregatorSpec(
   DYNAGG_ASSIGN_OR_RETURN(
       config.count_multiplicity,
       spec.ParamInt("protocol.multiplicity", config.count_multiplicity));
-  DYNAGG_ASSIGN_OR_RETURN(out.metric,
+  DYNAGG_ASSIGN_OR_RETURN(const std::string metric,
                           spec.ParamString("protocol.metric", "average"));
   if (config.lambda < 0.0 || config.lambda > 1.0) {
     return Status::InvalidArgument("protocol.lambda must be in [0, 1]");
@@ -871,10 +792,15 @@ Result<NodeAggregatorSpecParams> ParseNodeAggregatorSpec(
   if (config.count_multiplicity < 1) {
     return Status::InvalidArgument("protocol.multiplicity must be >= 1");
   }
-  if (out.metric != "average" && out.metric != "count" &&
-      out.metric != "sum") {
+  if (metric == "average") {
+    out.metric = AggregatorMetric::kAverage;
+  } else if (metric == "count") {
+    out.metric = AggregatorMetric::kCount;
+  } else if (metric == "sum") {
+    out.metric = AggregatorMetric::kSum;
+  } else {
     return Status::InvalidArgument(
-        "protocol.metric must be average, count or sum, got '" + out.metric +
+        "protocol.metric must be average, count or sum, got '" + metric +
         "'");
   }
   config.csr.bins = static_cast<int>(bins);
@@ -882,56 +808,47 @@ Result<NodeAggregatorSpecParams> ParseNodeAggregatorSpec(
   return out;
 }
 
-Result<SwarmHandle> MakeNodeAggregator(const TrialContext& ctx,
-                                       EnvHandle& env) {
-  DYNAGG_ASSIGN_OR_RETURN(const NodeAggregatorSpecParams parsed,
-                          ParseNodeAggregatorSpec(*ctx.spec));
-  const AggregatorConfig& config = parsed.config;
-  const std::string& metric = parsed.metric;
-
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedHosts(env));
-  auto box = std::make_shared<ValueSwarmBox<NodeAggregatorSwarm>>(
-      UniformWorkloadValues(n, ctx.trial_seed), config);
-  NodeAggregatorSwarm* swarm = &box->swarm;
-  const std::vector<double>* values = &box->values;
-
-  SwarmHandle h;
-  h.run_round = [swarm](const Environment& e, const Population& p, Rng& r) {
-    swarm->RunRound(e, p, r);
-  };
-  if (metric == "average") {
-    SetEstimate(h, [swarm](HostId id) {
-      return swarm->device(id).AverageEstimate();
-    });
-    h.truth = [values](const Population& pop) {
-      return TrueAverage(*values, pop);
-    };
-  } else if (metric == "count") {
-    SetEstimate(h, [swarm](HostId id) {
-      return swarm->device(id).CountEstimate();
-    });
-    h.truth = [](const Population& pop) {
-      return static_cast<double>(pop.num_alive());
-    };
-  } else if (metric == "sum") {
-    SetEstimate(h, [swarm](HostId id) {
-      return swarm->device(id).SumEstimate();
-    });
-    h.truth = [values](const Population& pop) {
-      return TrueSum(*values, pop);
-    };
-  } else {
-    return Status::InvalidArgument(
-        "protocol.metric must be average, count or sum, got '" + metric +
-        "'");
+/// The facade's estimate of protocol.metric against the live aggregate of
+/// the value workload (the alive count for `count`).
+struct AggregatorTruth {
+  const std::vector<double>* values;
+  AggregatorMetric metric;
+  double Estimate(const NodeAggregatorSwarm& swarm, HostId id) const {
+    const NodeAggregator& device = swarm.device(id);
+    switch (metric) {
+      case AggregatorMetric::kAverage:
+        return device.AverageEstimate();
+      case AggregatorMetric::kCount:
+        return device.CountEstimate();
+      case AggregatorMetric::kSum:
+        return device.SumEstimate();
+    }
+    return 0.0;
   }
-  h.failure_values = values;
+  double operator()(const Population& pop) const {
+    switch (metric) {
+      case AggregatorMetric::kAverage:
+        return TrueAverage(*values, pop);
+      case AggregatorMetric::kCount:
+        return static_cast<double>(pop.num_alive());
+      case AggregatorMetric::kSum:
+        return TrueSum(*values, pop);
+    }
+    return 0.0;
+  }
+};
+
+SwarmParts<NodeAggregatorSwarm, AggregatorTruth> BuildNodeAggregator(
+    const TrialContext& ctx, int n, const NodeAggregatorSpecParams& parsed) {
+  const AggregatorConfig& config = parsed.config;
+  auto box = std::make_shared<SwarmBox<NodeAggregatorSwarm>>(
+      UniformWorkloadValues(n, ctx.trial_seed), config);
   // Push-Sum-Revert mass (3 doubles) plus the CSR counter array.
-  h.state_bytes = 3.0 * sizeof(double) +
-                  static_cast<double>(config.csr.bins) * config.csr.levels;
-  MaybeSetMeter(h, swarm);
-  h.keepalive = std::move(box);
-  return h;
+  const double state_bytes =
+      3.0 * sizeof(double) +
+      static_cast<double>(config.csr.bins) * config.csr.levels;
+  return {box, &box->swarm, AggregatorTruth{&box->workload, parsed.metric},
+          state_bytes};
 }
 
 // ------------------------------------------------- sketch accuracy table ---
@@ -1243,90 +1160,55 @@ Status RunExtremeRecovery(const TrialContext& ctx, Recorder& rec) {
 namespace internal {
 
 void RegisterBuiltinProtocols(Registry<ProtocolDef>& registry) {
-  // Every entry carries a spec-only validate hook so `--dry-run` rejects
-  // knob/protocol mismatches without building swarms.
-  const auto swarm = [&registry](const std::string& name, SwarmFactory make,
-                                 bool trace_capable, bool join_capable,
-                                 std::function<Status(const ScenarioSpec&)>
-                                     validate) {
-    ProtocolDef def;
-    def.make_swarm = std::move(make);
-    def.trace_capable = trace_capable;
-    def.join_capable = join_capable;
-    def.validate = std::move(validate);
-    DYNAGG_CHECK(registry.Register(name, std::move(def)).ok());
-  };
-  const auto custom = [&registry](const std::string& name,
-                                  ProtocolRunner run,
-                                  std::function<Status(const ScenarioSpec&)>
-                                      validate,
-                                  bool uses_environment = true) {
-    ProtocolDef def;
-    def.run_custom = std::move(run);
-    def.validate = std::move(validate);
-    def.uses_environment = uses_environment;
-    DYNAGG_CHECK(registry.Register(name, std::move(def)).ok());
-  };
-  {
-    ProtocolDef def;
-    def.make_swarm = MakePushSum;
-    def.trace_capable = true;
-    def.async_capable = true;  // push mode only; the parse enforces it
-    def.join_capable = true;
-    def.validate = SpecValidator(ParsePushSumSpec);
-    DYNAGG_CHECK(registry.Register("push-sum", std::move(def)).ok());
-  }
-  {
-    ProtocolDef def;
-    def.make_swarm = MakePushFlow;
-    def.trace_capable = true;
-    def.async_capable = true;
-    def.join_capable = true;
-    def.validate = ParsePushFlowSpec;
-    DYNAGG_CHECK(registry.Register("push-flow", std::move(def)).ok());
-  }
-  swarm("push-sum-revert", MakePushSumRevert, /*trace_capable=*/true,
-        /*join_capable=*/true, SpecValidator(ParsePsrSpec));
-  swarm("epoch-push-sum", MakeEpochPushSum, /*trace_capable=*/true,
-        /*join_capable=*/true, SpecValidator(ParseEpochSpec));
-  swarm("full-transfer", MakeFullTransfer, /*trace_capable=*/true,
-        /*join_capable=*/true, SpecValidator(ParseFullTransferSpec));
-  swarm("extremes", MakeExtremes, /*trace_capable=*/false,
-        /*join_capable=*/true, SpecValidator(ParseExtremesSpec));
-  swarm("count-sketch", MakeCountSketch, /*trace_capable=*/true,
-        /*join_capable=*/true, SpecValidator(ParseCountSketchSpec));
-  {
-    ProtocolDef def;
-    def.make_swarm = MakeCountSketchReset;
-    def.trace_capable = true;
-    def.join_capable = true;
-    def.validate = SpecValidator(ParseCsrSpec);
-    def.models_gossip_bytes = true;
-    def.extra_metrics = {"cdf(counter)", "counter_quantiles(*)"};
-    def.extra_record_keys = {"max_counter", "counter_hist_max",
-                             "counter_hist_buckets"};
-    DYNAGG_CHECK(
-        registry.Register("count-sketch-reset", std::move(def)).ok());
-  }
-  {
-    ProtocolDef def;
-    def.make_swarm = MakeInvertAverage;
-    def.join_capable = true;
-    def.models_gossip_bytes = true;
-    def.validate = SpecValidator(ParseInvertAverageSpec);
-    DYNAGG_CHECK(registry.Register("invert-average", std::move(def)).ok());
-  }
-  // The serialized facade has no state-reset wire message yet, so it stays
-  // join-incapable (churn.* specs are rejected at --dry-run).
-  swarm("node-aggregator", MakeNodeAggregator, /*trace_capable=*/false,
-        /*join_capable=*/false, SpecValidator(ParseNodeAggregatorSpec));
-  custom("tag-tree", RunTagTree, SpecValidator(ParseTagTreeSpec));
+  // Swarm protocols: RegisterSwarm derives each one's capabilities from its
+  // swarm type and truth family.
+  RegisterSwarm<PushSumSwarm, AverageTruth>(registry, "push-sum",
+                                            ParsePushSumSpec, BuildPushSum);
+  RegisterSwarm<PushFlowSwarm, AverageTruth>(registry, "push-flow",
+                                             ParsePushFlowSpec, BuildPushFlow);
+  RegisterSwarm<PushSumRevertSwarm, AverageTruth>(
+      registry, "push-sum-revert", ParsePsrSpec, BuildPushSumRevert);
+  RegisterSwarm<EpochPushSumSwarm, AverageTruth>(
+      registry, "epoch-push-sum", ParseEpochSpec, BuildEpochPushSum);
+  RegisterSwarm<FullTransferSwarm, AverageTruth>(
+      registry, "full-transfer", ParseFullTransferSpec, BuildFullTransfer);
+  RegisterSwarm<DynamicExtremeSwarm, ExtremeTruth>(
+      registry, "extremes", ParseExtremesSpec, BuildExtremes);
+  RegisterSwarm<CountSketchSwarm, CountTruth>(
+      registry, "count-sketch", ParseCountSketchSpec, BuildCountSketch);
+  RegisterSwarm<CsrSwarm, CountTruth>(
+      registry, "count-sketch-reset", ParseCsrSpec, BuildCountSketchReset,
+      {.extra_metrics = {"cdf(counter)", "counter_quantiles(*)"},
+       .extra_record_keys = {"max_counter", "counter_hist_max",
+                             "counter_hist_buckets"}});
+  RegisterSwarm<InvertAverageSwarm, SumTruth>(
+      registry, "invert-average", ParseInvertAverageSpec, BuildInvertAverage);
+  // The serialized facade has no state-reset wire message yet, so it
+  // cannot admit hosts (churn.* specs are rejected at --dry-run).
+  RegisterSwarm<NodeAggregatorSwarm, AggregatorTruth>(
+      registry, "node-aggregator", ParseNodeAggregatorSpec,
+      BuildNodeAggregator);
+  // Whole-trial runners: every entry carries a spec-only validate hook so
+  // `--dry-run` rejects knob/protocol mismatches without running them.
+  DYNAGG_CHECK(registry
+                   .Register("tag-tree",
+                             {.run_custom = RunTagTree,
+                              .validate = SpecValidator(ParseTagTreeSpec)})
+                   .ok());
   // Sweeps sketch parameters over synthetic multisets: no gossip topology,
   // so the spec's environment is never built (or validated).
-  custom("fm-accuracy", RunFmAccuracy, SpecValidator(ParseFmAccuracySpec),
-         /*uses_environment=*/false);
-  custom("extreme-recovery", RunExtremeRecovery,
-         SpecValidator(ParseExtremeRecoverySpec));
+  DYNAGG_CHECK(registry
+                   .Register("fm-accuracy",
+                             {.run_custom = RunFmAccuracy,
+                              .uses_environment = false,
+                              .validate = SpecValidator(ParseFmAccuracySpec)})
+                   .ok());
+  DYNAGG_CHECK(
+      registry
+          .Register("extreme-recovery",
+                    {.run_custom = RunExtremeRecovery,
+                     .validate = SpecValidator(ParseExtremeRecoverySpec)})
+          .ok());
 }
 
 }  // namespace internal

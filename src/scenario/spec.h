@@ -117,6 +117,12 @@ struct ScenarioSpec {
   /// valid together with `sweep`, and must name a different key.
   std::string sweep2_key;
   std::vector<double> sweep2_values;
+  /// Whether a pending sweep axis writes `key`: the spec's own value of it
+  /// is then a placeholder no unit runs with (validation checks it on each
+  /// unit's resolved spec, whose sweep keys are cleared).
+  bool Sweeps(const std::string& key) const {
+    return sweep_key == key || sweep2_key == key;
+  }
   /// Metrics recorded in one pass per trial (`record = rms, bandwidth,
   /// cdf(final_error)`). The protocol runner decides which selectors it
   /// supports and errors on unknown ones. Defaults to the paper's per-round

@@ -159,6 +159,16 @@ const std::vector<RecordTypeInfo>& RecordTypeCatalog() {
   return types;
 }
 
+std::vector<std::string> ProtocolCapabilities(const ProtocolDef& def) {
+  std::vector<std::string> caps;
+  if (def.trace_capable) caps.push_back("trace");
+  if (def.async_capable) caps.push_back("async");
+  if (def.join_capable) caps.push_back("join");
+  if (def.bandwidth_capable) caps.push_back("bandwidth");
+  if (def.models_gossip_bytes) caps.push_back("gossip_bytes");
+  return caps;
+}
+
 namespace internal {
 // Defined in scenario/protocols.cc, scenario/environments.cc,
 // scenario/drivers.cc and stream/stream_protocols.cc.

@@ -306,7 +306,7 @@ struct SwarmHandle {
   /// Modelled per-host per-round gossip payload in bytes (the analytic
   /// bandwidth model behind `record = gossip_bytes`, e.g. the
   /// Invert-Average attribute-scaling argument); < 0 = not modelled, and
-  /// the drivers reject the selector.
+  /// `--dry-run` rejects the selector.
   double gossip_bytes = -1.0;
   /// Attaches a traffic meter for the bandwidth metric; null = the
   /// protocol cannot measure traffic.
@@ -361,25 +361,24 @@ using SwarmFactory =
 /// or (rarely) a custom whole-trial runner.
 struct ProtocolDef {
   /// Null if and only if `run_custom` is set.
-  SwarmFactory make_swarm;
+  SwarmFactory make_swarm = nullptr;
   /// Whole-trial protocols that own their own time loop; executed by the
-  /// rounds driver, rejected by event-driven drivers.
-  ProtocolRunner run_custom;
-  /// Whether the factory provides the group hooks `driver = trace` needs.
-  /// Static so `--dry-run` can reject trace specs without building swarms.
+  /// rounds driver, rejected by the other drivers.
+  ProtocolRunner run_custom = nullptr;
+  // Capabilities, static so `--dry-run` can vet a spec without building a
+  // swarm. RegisterSwarm (scenario/swarm_registration.h) derives each from
+  // the swarm type by the same compile-time test that wires the
+  // SwarmHandle hook it stands for; custom runners have none.
+  /// `driver = trace`: SwarmHandle::group_truths is set.
   bool trace_capable = false;
-  /// Whether the built swarm sets SwarmHandle::gossip_bytes (the analytic
-  /// payload model). Static so `--dry-run` can reject `record =
-  /// gossip_bytes` on protocols without a model.
+  /// `record = gossip_bytes` (rounds driver): SwarmHandle::gossip_bytes.
   bool models_gossip_bytes = false;
-  /// Whether the factory provides the message-level hooks `driver = async`
-  /// needs (SwarmHandle::async_tick / async_deliver). Static so `--dry-run`
-  /// can reject async specs without building swarms.
+  /// `driver = async`: SwarmHandle::async_tick and async_deliver are set.
   bool async_capable = false;
-  /// Whether the built swarm exposes the churn-join reset hook
-  /// (SwarmHandle::on_join). Static so `--dry-run` can reject churn.*
-  /// keys on protocols that cannot admit hosts without building swarms.
+  /// `churn.*` keys: SwarmHandle::on_join is set.
   bool join_capable = false;
+  /// `record = bandwidth` (rounds driver): SwarmHandle::set_meter is set.
+  bool bandwidth_capable = false;
   /// Whether the protocol instantiates the spec's environment. False only
   /// for whole-trial runners with no gossip topology (fm-accuracy), whose
   /// specs skip the environment's spec-only validation — they never build
@@ -396,14 +395,19 @@ struct ProtocolDef {
   /// everything checkable without an environment or a swarm. Factories
   /// share the same parse functions, so `--dry-run` rejects exactly the
   /// knob/protocol mismatches execution would.
-  std::function<Status(const ScenarioSpec&)> validate;
+  std::function<Status(const ScenarioSpec&)> validate = nullptr;
   /// Extra metric selectors (and their record.* keys) beyond the rounds
   /// driver's catalog, handled by the built swarm's `finish` hook
   /// (count-sketch-reset's cdf(counter) / counter_quantiles(...)). An
   /// entry ending in "(*)" matches any argument (see SelectorMatches).
-  std::vector<std::string> extra_metrics;
-  std::vector<std::string> extra_record_keys;
+  std::vector<std::string> extra_metrics = {};
+  std::vector<std::string> extra_record_keys = {};
 };
+
+/// The capabilities `def` has, by name, in catalog order: trace, async,
+/// join, bandwidth, gossip_bytes. `dynagg_run --list` prints them, and the
+/// protocol catalog of docs/spec_reference.md must list the same.
+std::vector<std::string> ProtocolCapabilities(const ProtocolDef& def);
 
 /// Advances simulated time for one trial: builds the environment, obtains
 /// the swarm from the protocol definition, runs the loop, and records the
@@ -414,14 +418,13 @@ using TrialDriver =
 /// A registered trial driver (`driver = ...` in the spec).
 struct DriverDef {
   TrialDriver run;
-  /// Event-driven drivers consume the time-based keys gossip_period /
-  /// sample_period and require a trace-providing environment; the rounds
-  /// driver rejects those keys.
-  bool event_driven = false;
-  /// Message-level drivers (`driver = async`) consume the net.* keys and
-  /// seeds.message_stream and require async-capable protocols; other
-  /// drivers reject those keys.
-  bool message_level = false;
+  /// Spec-only validation of what this driver needs from the spec and the
+  /// protocol: the keys it consumes and rejects, its metric catalog, the
+  /// protocol capabilities it calls. ValidateExperiment runs it on the
+  /// base spec and every swept variant, so `run` never re-checks the spec;
+  /// it rejects only what depends on built data (host counts, truths,
+  /// trace file contents).
+  std::function<Status(const ScenarioSpec&, const ProtocolDef&)> validate;
 };
 
 /// A registered environment.

@@ -38,6 +38,7 @@
 #include "common/status.h"
 #include "scenario/config.h"
 #include "scenario/spec.h"
+#include "scenario/swarm_registration.h"
 #include "sim/workload.h"
 #include "stream/freq_sketch.h"
 #include "stream/stream_swarm.h"
@@ -381,17 +382,24 @@ Status FinishHeavyHitters(const StreamSketchSwarm& swarm,
 
 // --------------------------------------------------------- swarm factory ---
 
-Result<int> CheckedStreamHosts(const EnvHandle& env) {
-  const int n = env.env->num_hosts();
-  if (n <= 0) return Status::InvalidArgument("environment has no hosts");
-  return n;
+/// The modelled gossip payload: one full sketch stride per message.
+double GossipBytesModel(const StreamSketchSwarm& swarm,
+                        const FreqSketchSpecParams&) {
+  return static_cast<double>(swarm.message_bytes());
 }
 
-Result<SwarmHandle> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env,
-                                   SketchKind kind) {
-  DYNAGG_ASSIGN_OR_RETURN(const FreqSketchSpecParams cfg,
-                          ParseFreqSketchSpec(*ctx.spec, kind));
-  DYNAGG_ASSIGN_OR_RETURN(const int n, CheckedStreamHosts(env));
+/// Every host estimates the total stream mass arrived so far.
+struct StreamTruth {
+  const StreamSketchSwarm* swarm;
+  double Estimate(const StreamSketchSwarm& s, HostId id) const {
+    return s.Estimate(id);
+  }
+  double operator()(const Population&) const { return swarm->TruthTotal(); }
+};
+
+Result<SwarmParts<StreamSketchSwarm, StreamTruth>> BuildFreqSketch(
+    const TrialContext& ctx, int n, const FreqSketchSpecParams& cfg,
+    SketchKind kind) {
   const int64_t total_bytes = int64_t{2} * n *
                               (int64_t{cfg.depth} * cfg.width + 2) *
                               static_cast<int64_t>(sizeof(double));
@@ -415,22 +423,13 @@ Result<SwarmHandle> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env,
                            DeriveSeed(ctx.trial_seed, workload_stream));
   auto swarm = std::make_shared<StreamSketchSwarm>(n, params, gen);
   StreamSketchSwarm* raw = swarm.get();
-  SwarmHandle h;
-  h.run_round = [raw](const Environment& e, const Population& p, Rng& r) {
-    raw->RunRound(e, p, r);
-  };
-  SetEstimate(h, [raw](HostId id) { return raw->Estimate(id); });
-  h.truth = [raw](const Population&) { return raw->TruthTotal(); };
-  h.state_bytes = static_cast<double>(raw->message_bytes());
-  h.gossip_bytes = static_cast<double>(raw->message_bytes());
-  h.set_meter = [raw](TrafficMeter* m) { raw->set_traffic_meter(m); };
-  h.on_join = [raw](HostId id) { raw->OnJoin(id); };
-  h.finish = [raw, selectors = cfg.selectors](const TrialContext& c,
-                                              Recorder& rec) {
+  SwarmParts<StreamSketchSwarm, StreamTruth> parts{
+      swarm, raw, StreamTruth{raw}, static_cast<double>(raw->message_bytes())};
+  parts.finish = [raw, selectors = cfg.selectors](const TrialContext& c,
+                                                  Recorder& rec) {
     return FinishHeavyHitters(*raw, selectors, c, rec);
   };
-  h.keepalive = std::move(swarm);
-  return h;
+  return parts;
 }
 
 }  // namespace
@@ -438,23 +437,23 @@ Result<SwarmHandle> MakeFreqSketch(const TrialContext& ctx, EnvHandle& env,
 namespace internal {
 
 void RegisterStreamProtocols(Registry<ProtocolDef>& registry) {
-  const auto sketch = [&registry](const std::string& name, SketchKind kind) {
-    ProtocolDef def;
-    def.make_swarm = [kind](const TrialContext& ctx, EnvHandle& env) {
-      return MakeFreqSketch(ctx, env, kind);
-    };
-    def.join_capable = true;
-    def.models_gossip_bytes = true;
-    def.consumes_workload = true;
-    def.validate = [kind](const ScenarioSpec& spec) {
-      return ParseFreqSketchSpec(spec, kind).status();
-    };
-    def.extra_metrics = {"hh_precision(*)", "hh_recall(*)",
-                         "hh_weighted_err(*)", "sketch_bytes", "hh_frontier"};
-    DYNAGG_CHECK(registry.Register(name, std::move(def)).ok());
-  };
-  sketch("count-min", SketchKind::kCountMin);
-  sketch("count-sketch-freq", SketchKind::kCountSketch);
+  for (const auto& [name, kind] :
+       {std::pair{"count-min", SketchKind::kCountMin},
+        std::pair{"count-sketch-freq", SketchKind::kCountSketch}}) {
+    RegisterSwarm<StreamSketchSwarm, StreamTruth>(
+        registry, name,
+        [kind](const ScenarioSpec& spec) {
+          return ParseFreqSketchSpec(spec, kind);
+        },
+        [kind](const TrialContext& ctx, int n,
+               const FreqSketchSpecParams& cfg) {
+          return BuildFreqSketch(ctx, n, cfg, kind);
+        },
+        {.consumes_workload = true,
+         .extra_metrics = {"hh_precision(*)", "hh_recall(*)",
+                           "hh_weighted_err(*)", "sketch_bytes",
+                           "hh_frontier"}});
+  }
 }
 
 }  // namespace internal

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +58,54 @@ std::string* DocDriftTest::doc_ = nullptr;
 TEST_F(DocDriftTest, EveryProtocolIsDocumented) {
   for (const std::string& name : scenario::ProtocolRegistry().Names()) {
     ExpectDocumented(name, "protocol");
+  }
+}
+
+/// The capability cell of `protocol`'s row in the protocol catalog table,
+/// without its parenthesized notes, split at commas; "—" (none) and empty
+/// items dropped. Fails the test when the row is missing.
+std::vector<std::string> DocumentedCapabilities(const std::string& doc,
+                                                const std::string& protocol) {
+  const size_t row = doc.find("\n| `" + protocol + "` | ");
+  EXPECT_NE(row, std::string::npos)
+      << "protocol '" << protocol << "' has no row in the protocol catalog";
+  if (row == std::string::npos) return {};
+  const size_t begin = doc.find(" | ", row + 1) + 3;
+  const std::string cell = doc.substr(begin, doc.find(" | ", begin) - begin);
+  std::vector<std::string> caps;
+  std::string item;
+  int depth = 0;
+  for (const char c : cell + ",") {
+    if (c == '(') ++depth;
+    if (depth == 0 && c == ',') {
+      const size_t first = item.find_first_not_of(' ');
+      const size_t last = item.find_last_not_of(' ');
+      if (first != std::string::npos) {
+        const std::string cap = item.substr(first, last - first + 1);
+        if (cap != "—") caps.push_back(cap);
+      }
+      item.clear();
+    } else if (depth == 0) {
+      item += c;
+    }
+    if (c == ')') --depth;
+  }
+  return caps;
+}
+
+// The catalog's capability column must list exactly the capabilities the
+// registry derives from each swarm type, in `dynagg_run --list` order.
+TEST_F(DocDriftTest, ProtocolCatalogListsDerivedCapabilities) {
+  const std::string catalog =
+      doc_->substr(doc_->find("## Protocol catalog"));
+  for (const std::string& name : scenario::ProtocolRegistry().Names()) {
+    const Result<scenario::ProtocolDef> def =
+        scenario::ProtocolRegistry().Find(name);
+    ASSERT_TRUE(def.ok()) << name;
+    EXPECT_EQ(DocumentedCapabilities(catalog, name),
+              scenario::ProtocolCapabilities(*def))
+        << "the capability cell of '" << name
+        << "' in docs/spec_reference.md disagrees with the registry";
   }
 }
 

@@ -162,6 +162,18 @@ TEST(ChurnSpecTest, RejectsEmptyTailWindowUnderRoundsSweep) {
       "leaves no rounds");
 }
 
+TEST(ChurnSpecTest, RejectsEmptyTailWindowInOnePairingOfTwoSweeps) {
+  // Each axis alone keeps the window: rounds = 5 with the base
+  // record.from = 1, record.from = 20 with the base rounds = 50. Only the
+  // unit (rounds = 5, record.from = 20) empties it, and it used to pass
+  // --dry-run and then fail at run time.
+  ExpectDryRunError(
+      "protocol = push-sum\nhosts = 16\nrounds = 50\n"
+      "record = rms_tail_mean\nrecord.from = 1\n"
+      "sweep = rounds: 5, 50\nsweep2 = record.from: 1, 20\n",
+      "record.from = 20 leaves no rounds to average (rounds = 5)");
+}
+
 TEST(ChurnSpecTest, RejectsDegreeNotBelowHostsStatically) {
   // random-graph needs `degree` distinct neighbors per host; the default
   // degree = 8 cannot fit in a 6-host universe. Used to hard-abort at

@@ -103,7 +103,7 @@ TEST(PortParityTest, FmAccuracyValidatesParameters) {
 class CrawdadScenarioTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/crawdad_fixture.contacts";
+    path_ = TestFile(".contacts");
     std::ofstream out(path_);
     // 4 devices (raw ids non-dense, remapped in order of appearance),
     // two contact phases over 40 simulated minutes.
@@ -113,6 +113,15 @@ class CrawdadScenarioTest : public ::testing::Test {
         << "10 30 900 1500\n"
         << "20 40 900 1500\n"
         << "10 20 1800 2400\n";
+  }
+
+  /// A file named after the running test: ctest runs each case in its own
+  /// process, and a file name shared between cases would let one truncate
+  /// it while another reads it under `ctest -j`.
+  static std::string TestFile(const std::string& suffix) {
+    return ::testing::TempDir() + "/" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           suffix;
   }
 
   std::string Spec(const std::string& extra) const {
@@ -191,7 +200,7 @@ TEST_F(CrawdadScenarioTest, ThreadCountDeterminism) {
 }
 
 TEST_F(CrawdadScenarioTest, RejectsCorruptTables) {
-  const std::string bad = ::testing::TempDir() + "/bad.contacts";
+  const std::string bad = TestFile("_bad.contacts");
   {
     std::ofstream out(bad);
     out << "1 1 0 600\n";  // self-contact

@@ -80,6 +80,44 @@ TEST(BuiltinRegistryTest, UnknownEnvironmentFailsExperimentCleanly) {
             std::string::npos);
 }
 
+// The capabilities `--dry-run` checks are derived from the swarm types;
+// each must match the hook the built swarm actually wires, or validation
+// would admit specs the drivers cannot run (or reject runnable ones).
+TEST(BuiltinRegistryTest, DerivedCapabilitiesMatchBuiltHooks) {
+  for (const std::string& name : ProtocolRegistry().Names()) {
+    const Result<ProtocolDef> def = ProtocolRegistry().Find(name);
+    ASSERT_TRUE(def.ok()) << name;
+    if (!def->make_swarm) {
+      EXPECT_TRUE(ProtocolCapabilities(*def).empty()) << name;
+      continue;
+    }
+    ScenarioSpec spec;
+    spec.name = "caps";
+    spec.protocol = name;
+    spec.hosts = 8;
+    spec.rounds = 2;
+    if (def->consumes_workload) {
+      spec.params["workload.kind"] = "zipf";
+      spec.params["workload.keys"] = "64";
+    }
+    ASSERT_TRUE(ValidateExperiment(spec).ok()) << name;
+    TrialContext ctx;
+    ctx.spec = &spec;
+    ctx.trial_seed = 1;
+    Result<EnvHandle> env = MakeEnvironment(ctx);
+    ASSERT_TRUE(env.ok()) << env.status().ToString();
+    const Result<SwarmHandle> swarm = def->make_swarm(ctx, *env);
+    ASSERT_TRUE(swarm.ok()) << name << ": " << swarm.status().ToString();
+    EXPECT_EQ(def->trace_capable, swarm->group_truths != nullptr) << name;
+    EXPECT_EQ(def->async_capable, swarm->async_tick != nullptr) << name;
+    EXPECT_EQ(def->async_capable, swarm->async_deliver != nullptr) << name;
+    EXPECT_EQ(def->async_capable, swarm->message_bytes > 0) << name;
+    EXPECT_EQ(def->join_capable, swarm->on_join != nullptr) << name;
+    EXPECT_EQ(def->bandwidth_capable, swarm->set_meter != nullptr) << name;
+    EXPECT_EQ(def->models_gossip_bytes, swarm->gossip_bytes >= 0) << name;
+  }
+}
+
 // A workload registered from outside the engine becomes runnable from a
 // spec without touching the runner: the whole point of the registries.
 TEST(BuiltinRegistryTest, CustomProtocolPlugsIntoExecutor) {

@@ -194,6 +194,40 @@ TEST(DryRunValidationTest, RejectsRoundMetricsOnTraceDriver) {
       "rms_tail_mean");
 }
 
+TEST(DryRunValidationTest, RejectsBandwidthOnProtocolsWithoutMeter) {
+  // These swarms record no traffic; the spec used to pass --dry-run and
+  // then fail every trial.
+  for (const std::string protocol :
+       {"extremes", "epoch-push-sum", "invert-average"}) {
+    ExpectDryRunError(
+        "protocol = " + protocol + "\nhosts = 16\nrecord = bandwidth\n",
+        "does not support the bandwidth metric");
+  }
+  // ...while metered swarms accept it.
+  for (const std::string protocol :
+       {"push-sum", "node-aggregator", "count-min"}) {
+    const std::string workload = protocol == "count-min"
+                                     ? "workload.kind = zipf\n"
+                                     : "";
+    EXPECT_TRUE(DryRun("protocol = " + protocol +
+                       "\nhosts = 16\nrecord = bandwidth\n" + workload)
+                    .ok())
+        << protocol;
+  }
+}
+
+TEST(DryRunValidationTest, RejectsRoundsDriverKeysOnTraceDriver) {
+  // The trace driver reads no record.* knob and only the round stream;
+  // both keys used to pass --dry-run and then fail at run time.
+  const std::string base =
+      "protocol = push-sum\ndriver = trace\nenvironment = haggle\n"
+      "record = rms\n";
+  ExpectDryRunError(base + "record.from = 3\n", "record.from");
+  ExpectDryRunError(base + "seeds.failure_stream = 3\n",
+                    "seeds.failure_stream");
+  EXPECT_TRUE(DryRun(base + "seeds.round_stream = 3\n").ok());
+}
+
 TEST(DryRunValidationTest, RoundStreamGrammarResolvesAtRunTimeOnly) {
   // The sweepval grammar needs a sweep axis; with one present the spec
   // validates, and the ablation specs rely on it.

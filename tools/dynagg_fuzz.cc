@@ -136,87 +136,185 @@ void AppendProtocolKnobs(const std::string& name, Rng& rng,
   }
 }
 
-/// Builds one structurally valid spec: bounded sizes, knobs inside the
-/// validated ranges, stream workloads for the protocols that require one,
-/// churn plans only on join-capable swarm protocols.
-std::vector<SpecLine> GenerateValidSpec(const std::string& protocol,
-                                        const ProtocolDef& def, int index,
-                                        Rng& rng) {
+/// A generated spec, and whether --dry-run must reject it before any
+/// mutation: it asks for a capability the protocol lacks.
+struct GeneratedSpec {
   std::vector<SpecLine> lines;
-  lines.push_back({"name", "fuzz_" + std::to_string(index)});
-  lines.push_back({"protocol", protocol});
-  const bool custom = def.make_swarm == nullptr;
-  const int hosts = static_cast<int>(rng.UniformRange(2, 256));
-  lines.push_back({"hosts", std::to_string(hosts)});
-  const int rounds = static_cast<int>(rng.UniformRange(1, 40));
-  lines.push_back({"rounds", std::to_string(rounds)});
-  lines.push_back({"trials", std::to_string(rng.UniformRange(1, 2))});
-  lines.push_back({"seed", std::to_string(rng.Next() >> 1)});
+  bool must_reject = false;
+};
 
+/// Draws, with probability `p`, whether the spec uses a capability-gated
+/// feature: on protocols with the capability that is a valid spec; on one
+/// in four of the draws for protocols without it the feature is used
+/// anyway, aimed at the dry-run, and the spec is marked must_reject.
+bool DrawGated(bool capable, double p, Rng& rng, GeneratedSpec* out) {
+  if (!rng.Bernoulli(p)) return false;
+  if (capable) return true;
+  if (!rng.Bernoulli(0.25)) return false;
+  out->must_reject = true;
+  return true;
+}
+
+/// `driver = trace`: a short synthetic Haggle trace (hosts derived from
+/// it, no rounds, no failure/churn plans), the trace metric catalog.
+void AppendTraceSpec(const std::string& protocol, Rng& rng,
+                     std::vector<SpecLine>* lines) {
+  lines->push_back({"driver", "trace"});
+  lines->push_back({"environment", "haggle"});
+  lines->push_back({"env.hours", std::to_string(rng.UniformRange(1, 4))});
+  if (rng.Bernoulli(0.5)) {
+    lines->push_back(
+        {"gossip_period", std::to_string(rng.UniformRange(30, 300))});
+  }
+  if (rng.Bernoulli(0.5)) {
+    lines->push_back(
+        {"sample_period", std::to_string(rng.UniformRange(900, 3600))});
+  }
+  AppendProtocolKnobs(protocol, rng, lines);
+  lines->push_back(
+      {"record", rng.Bernoulli(0.5) ? "rms" : "rms, avg_group_size"});
+}
+
+/// `driver = async`: message-level gossip over a lossy, delayed network;
+/// push-sum runs in push mode, the only one with a message decomposition.
+void AppendAsyncSpec(const std::string& protocol, int rounds, Rng& rng,
+                     std::vector<SpecLine>* lines) {
+  lines->push_back({"driver", "async"});
+  if (protocol == "push-sum") {
+    lines->push_back({"protocol.mode", "push"});
+  } else {
+    AppendProtocolKnobs(protocol, rng, lines);
+  }
+  if (rng.Bernoulli(0.5)) {
+    lines->push_back(
+        {"gossip_period", std::to_string(rng.UniformRange(1, 60))});
+  }
+  if (rng.Bernoulli(0.5)) {
+    lines->push_back({"net.latency", "exponential"});
+    lines->push_back(
+        {"net.latency_s", FormatDouble(rng.UniformDouble(0.0, 30.0))});
+  }
+  if (rng.Bernoulli(0.5)) {
+    lines->push_back({"net.loss", FormatDouble(rng.UniformDouble(0.0, 0.3))});
+  }
+  std::string record = "final_rms, delivery_rate";
+  if (rng.Bernoulli(0.3)) record += ", bandwidth";
+  if (rng.Bernoulli(0.3)) record += ", gossip_bytes";
+  if (rng.Bernoulli(0.4)) {
+    record += ", rms_tail_mean";
+    lines->push_back(
+        {"record.from", std::to_string(rng.UniformRange(0, rounds - 1))});
+  }
+  lines->push_back({"record", record});
+}
+
+/// `driver = rounds`: topology, stream workload, churn or failure plans,
+/// sweeps, and records including the capability-gated bandwidth and
+/// gossip_bytes.
+void AppendRoundsSpec(const std::string& protocol, const ProtocolDef& def,
+                      int hosts, int rounds, Rng& rng, GeneratedSpec* out) {
+  std::vector<SpecLine>* lines = &out->lines;
+  const bool custom = def.make_swarm == nullptr;
   // Custom runners own their environment/record surface; keep them on the
   // defaults the validators accept.
   if (!custom && rng.Bernoulli(0.25)) {
-    lines.push_back({"environment", "random-graph"});
-    lines.push_back(
+    lines->push_back({"environment", "random-graph"});
+    lines->push_back(
         {"env.degree", std::to_string(rng.UniformRange(2, 8))});
   }
 
   if (def.consumes_workload) {
     const bool zipf = rng.Bernoulli(0.7);
-    lines.push_back({"workload.kind", zipf ? "zipf" : "uniform"});
-    lines.push_back(
+    lines->push_back({"workload.kind", zipf ? "zipf" : "uniform"});
+    lines->push_back(
         {"workload.keys", std::to_string(rng.UniformRange(16, 4096))});
-    lines.push_back(
+    lines->push_back(
         {"workload.batch", std::to_string(rng.UniformRange(1, 32))});
     if (zipf && rng.Bernoulli(0.5)) {
-      lines.push_back(
+      lines->push_back(
           {"workload.skew", FormatDouble(rng.UniformDouble(0.5, 2.0))});
     }
   }
 
-  AppendProtocolKnobs(protocol, rng, &lines);
+  AppendProtocolKnobs(protocol, rng, lines);
 
   bool used_churn = false;
   if (def.join_capable && !custom && rng.Bernoulli(0.4)) {
     used_churn = true;
     if (rng.Bernoulli(0.7)) {
-      lines.push_back(
+      lines->push_back(
           {"churn.initial",
            std::to_string(rng.UniformRange(1, hosts))});
     }
     if (rng.Bernoulli(0.7)) {
-      lines.push_back(
+      lines->push_back(
           {"churn.arrival_rate", FormatDouble(rng.UniformDouble(0.0, 4.0))});
     }
     if (rng.Bernoulli(0.7)) {
-      lines.push_back(
+      lines->push_back(
           {"churn.death_prob", FormatDouble(rng.UniformDouble(0.0, 0.05))});
-      lines.push_back(
+      lines->push_back(
           {"churn.rebirth_prob", FormatDouble(rng.UniformDouble(0.0, 0.5))});
     }
   } else if (!custom && rng.Bernoulli(0.25)) {
-    lines.push_back({"failure.kind", "churn"});
-    lines.push_back(
+    lines->push_back({"failure.kind", "churn"});
+    lines->push_back(
         {"failure.death_prob", FormatDouble(rng.UniformDouble(0.0, 0.05))});
   }
 
   if (rng.Bernoulli(0.3)) {
     if (used_churn && rng.Bernoulli(0.5)) {
-      lines.push_back({"sweep", "churn.arrival_rate: 0, 1, 3"});
+      lines->push_back({"sweep", "churn.arrival_rate: 0, 1, 3"});
     } else {
-      lines.push_back(
+      lines->push_back(
           {"sweep", "rounds: " + std::to_string(rng.UniformRange(2, 10)) +
                         ", " + std::to_string(rng.UniformRange(11, 40))});
     }
   }
   // The default record (rms) is accepted by every registered protocol,
-  // including the custom runners; sometimes add the tail-mean scalar.
+  // including the custom runners; sometimes add the tail-mean scalar and
+  // the capability-gated traffic records.
+  std::string record = "rms";
   if (!custom && rng.Bernoulli(0.3)) {
-    lines.push_back({"record", "rms, rms_tail_mean"});
-    lines.push_back(
+    record += ", rms_tail_mean";
+    lines->push_back(
         {"record.from", std::to_string(rng.UniformRange(0, rounds))});
   }
-  return lines;
+  if (DrawGated(def.bandwidth_capable, 0.2, rng, out)) {
+    record += ", bandwidth";
+  }
+  if (DrawGated(def.models_gossip_bytes, 0.2, rng, out)) {
+    record += ", gossip_bytes";
+  }
+  if (record != "rms") lines->push_back({"record", record});
+}
+
+/// Builds one spec for `protocol` under a driver drawn by capability:
+/// bounded sizes, knobs inside the validated ranges, stream workloads for
+/// the protocols that require one, churn plans only on join-capable swarm
+/// protocols. Valid unless marked must_reject.
+GeneratedSpec GenerateSpec(const std::string& protocol,
+                           const ProtocolDef& def, int index, Rng& rng) {
+  GeneratedSpec out;
+  std::vector<SpecLine>* lines = &out.lines;
+  lines->push_back({"name", "fuzz_" + std::to_string(index)});
+  lines->push_back({"protocol", protocol});
+  lines->push_back({"trials", std::to_string(rng.UniformRange(1, 2))});
+  lines->push_back({"seed", std::to_string(rng.Next() >> 1)});
+  if (DrawGated(def.trace_capable, 0.2, rng, &out)) {
+    AppendTraceSpec(protocol, rng, lines);
+    return out;
+  }
+  const int hosts = static_cast<int>(rng.UniformRange(2, 256));
+  lines->push_back({"hosts", std::to_string(hosts)});
+  const int rounds = static_cast<int>(rng.UniformRange(1, 40));
+  lines->push_back({"rounds", std::to_string(rounds)});
+  if (DrawGated(def.async_capable, 0.25, rng, &out)) {
+    AppendAsyncSpec(protocol, rounds, rng, lines);
+  } else {
+    AppendRoundsSpec(protocol, def, hosts, rounds, rng, &out);
+  }
+  return out;
 }
 
 // ------------------------------------------------------------- mutation ---
@@ -323,8 +421,10 @@ bool WithinExecutionBudget(const ScenarioSpec& spec) {
   const size_t sweeps =
       (spec.sweep_values.empty() ? 1 : spec.sweep_values.size()) *
       (spec.sweep2_values.empty() ? 1 : spec.sweep2_values.size());
+  // A synthetic trace's length (0 = the dataset preset, up to 120 hours).
+  const Result<double> hours = spec.ParamDouble("env.hours", 0.0);
   return spec.hosts <= 4096 && spec.rounds <= 500 && spec.trials <= 8 &&
-         sweeps <= 16;
+         sweeps <= 16 && hours.ok() && *hours <= 120.0;
 }
 
 void DumpRepro(const std::string& out_dir, uint64_t seed, int index,
@@ -363,14 +463,15 @@ FuzzStats FuzzBatch(uint64_t seed, int count, const std::string& out_dir,
   for (int i = 0; i < count; ++i) {
     ++stats.generated;
     const size_t which = rng.UniformInt(protocols.size());
-    std::vector<SpecLine> lines =
-        GenerateValidSpec(protocols[which], defs[which], i, rng);
+    GeneratedSpec generated =
+        GenerateSpec(protocols[which], defs[which], i, rng);
     // Half the batch is mutated away from validity, up to two edits.
-    if (rng.Bernoulli(0.5)) {
-      Mutate(&lines, rng);
-      if (rng.Bernoulli(0.3)) Mutate(&lines, rng);
+    const bool mutated = rng.Bernoulli(0.5);
+    if (mutated) {
+      Mutate(&generated.lines, rng);
+      if (rng.Bernoulli(0.3)) Mutate(&generated.lines, rng);
     }
-    const std::string text = RenderLines(lines);
+    const std::string text = RenderLines(generated.lines);
 
     const Result<std::vector<ScenarioSpec>> specs =
         scenario::ParseScenarioFile(text, "fuzz");
@@ -398,6 +499,15 @@ FuzzStats FuzzBatch(uint64_t seed, int count, const std::string& out_dir,
           std::fprintf(stderr, "[%d] dry-run: %s\n", i,
                        valid.ToString().c_str());
         }
+        continue;
+      }
+      if (generated.must_reject && !mutated) {
+        // Aimed at a capability the protocol lacks: passing --dry-run
+        // means the capability check is missing.
+        ++stats.violations;
+        DumpRepro(out_dir, seed, i, text,
+                  "dry-run accepted a spec that needs a capability the "
+                  "protocol lacks");
         continue;
       }
       if (!WithinExecutionBudget(spec)) {

@@ -108,10 +108,24 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
   return Status::OK();
 }
 
+/// A protocol's --list line: its derived capabilities (docs/
+/// spec_reference.md, "Protocol catalog"), or what it is without any.
+std::string DescribeCapabilities(const scenario::ProtocolDef& def) {
+  if (def.run_custom) return "custom runner";
+  std::string out;
+  for (const std::string& cap : scenario::ProtocolCapabilities(def)) {
+    out += (out.empty() ? "" : ", ") + cap;
+  }
+  return out.empty() ? "-" : out;
+}
+
 int ListRegistries() {
-  std::printf("protocols:\n");
+  std::printf("protocols (capabilities):\n");
   for (const auto& name : scenario::ProtocolRegistry().Names()) {
-    std::printf("  %s\n", name.c_str());
+    const Result<scenario::ProtocolDef> def =
+        scenario::ProtocolRegistry().Find(name);
+    std::printf("  %-20s %s\n", name.c_str(),
+                def.ok() ? DescribeCapabilities(*def).c_str() : "");
   }
   std::printf("environments:\n");
   for (const auto& name : scenario::EnvironmentRegistry().Names()) {
