@@ -63,7 +63,7 @@ enum class Counter : int {
   kEarlyStopRounds,       // budgeted rounds skipped by early convergence
   kChurnJoins,            // first-time arrivals admitted by churn plans
   kChurnRebirths,         // state-reset ID-reuse rebirths from churn plans
-  kRecordEvaluations,     // rounds / async samples whose RMS was evaluated
+  kRecordEvaluations,     // every RMS evaluation (rounds, samples, final)
 };
 constexpr int kNumCounters = 10;
 

@@ -161,7 +161,10 @@ Status RunAsyncDriver(const TrialContext& ctx, const ProtocolDef& def,
   obs::ScopedPhase record_span(obs::Phase::kRecord);
 
   if (sampled.tail_mean) rec.AddScalar("rms_tail_mean", tail.mean());
-  if (want_final) rec.AddScalar("final_rms", rms_now());
+  if (want_final) {
+    obs::Count(obs::Counter::kRecordEvaluations, 1);
+    rec.AddScalar("final_rms", rms_now());
+  }
   if (want_delivery) {
     rec.AddScalar("delivery_rate",
                   sent > 0 ? static_cast<double>(delivered) /
@@ -278,16 +281,12 @@ Status ValidateAsyncSpec(const ScenarioSpec& spec, const ProtocolDef& def) {
   DYNAGG_RETURN_IF_ERROR(
       spec.CheckParams("seeds.", {"round_stream", "message_stream"}));
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams("record.", {"from", "every"}));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t from, spec.ParamInt("record.from", 0));
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t every,
-                          spec.ParamInt("record.every", 1));
-  if (from < 0 || every < 1) {
-    return invalid("record.from must be >= 0 and record.every >= 1");
-  }
-  if (MetricRequested(spec, "rms_tail_mean") && from >= spec.rounds) {
-    return invalid("record.from = " + std::to_string(from) +
-                   " leaves no ticks to average (rounds = " +
-                   std::to_string(spec.rounds) + ")");
+  DYNAGG_ASSIGN_OR_RETURN(const RecordConfig window,
+                          ParseRecordConfig(spec, {}));
+  MetricFlags sampled;
+  sampled.tail_mean = MetricRequested(spec, "rms_tail_mean");
+  if (!spec.Sweeps("rounds")) {
+    DYNAGG_RETURN_IF_ERROR(CheckRecordWindows(spec, sampled, window));
   }
   DYNAGG_RETURN_IF_ERROR(ParseNetworkParams(spec).status());
   return CheckMetricsSupported(

@@ -124,9 +124,9 @@ Result<RecordConfig> ParseRecordConfig(
 
 /// Spec-only window checks for the rounds driver's metrics: every windowed
 /// selector must leave at least one round inside its window, and the cdf
-/// histogram must be well-formed. Factored out of the driver so --dry-run
-/// applies the identical checks to the base spec and every swept variant
-/// (a rounds sweep can empty a window the base spec satisfies).
+/// histogram must be well-formed. The rounds and async drivers' validate
+/// hooks run it on every swept variant (a rounds sweep can empty a window
+/// the base spec satisfies); the drivers themselves do not re-check.
 Status CheckRecordWindows(const ScenarioSpec& spec, const MetricFlags& metrics,
                           const RecordConfig& cfg);
 

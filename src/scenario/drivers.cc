@@ -125,8 +125,6 @@ Status DriveRounds(const TrialContext& ctx, const ProtocolDef& def,
   DYNAGG_ASSIGN_OR_RETURN(const uint64_t fail_stream,
                           FailureStream(spec, fail));
 
-  DYNAGG_RETURN_IF_ERROR(CheckRecordWindows(spec, metrics, cfg));
-
   TrafficMeter meter;
   if (metrics.bandwidth) swarm.set_meter(&meter);
 

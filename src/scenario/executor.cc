@@ -575,9 +575,10 @@ ResultTable AssembleTelemetrySummary(
   return ResultTable{"telemetry", std::move(table)};
 }
 
-}  // namespace
-
-Status ValidateExperiment(const ScenarioSpec& spec) {
+/// ValidateExperiment's checks; on success, the resolved spec of every
+/// cell in sweep-major order (the spec itself when nothing is swept), each
+/// validated by the environment, driver and protocol it runs with.
+Result<std::vector<ScenarioSpec>> ResolveCells(const ScenarioSpec& spec) {
   const auto invalid = [&](const std::string& what) {
     return Status::InvalidArgument("experiment '" + spec.name + "': " + what);
   };
@@ -649,30 +650,29 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
     }
   }
   // The environment, driver and protocol validate the base spec and every
-  // unit's resolved spec (a sweep may write an out-of-range or non-numeric
-  // value into a validated key, or empty a window the base spec
-  // satisfies; two axes cross, so a window may empty only in one pairing
-  // of their values). Dry-applying each sweep value also rejects e.g. a
-  // fractional hosts sweep before anything runs. The base spec's swept
-  // fields are placeholders no unit runs with; checks skip them through
-  // Sweeps().
-  std::vector<ScenarioSpec> variants = {spec};
+  // cell's resolved spec, the spec its units run on (a sweep may write an
+  // out-of-range or non-numeric value into a validated key, or empty a
+  // window the base spec satisfies; two axes cross, so a window may empty
+  // only in one pairing of their values). Applying each sweep value here
+  // also rejects e.g. a fractional hosts sweep before anything runs. The
+  // base spec's swept fields are placeholders no unit runs with; checks
+  // skip them through Sweeps().
+  std::vector<ScenarioSpec> cells = {spec};
   for (const bool second : {false, true}) {
     const std::string& key = second ? spec.sweep2_key : spec.sweep_key;
     if (key.empty()) continue;
     std::vector<ScenarioSpec> resolved;
-    for (const ScenarioSpec& unit : variants) {
+    for (const ScenarioSpec& cell : cells) {
       for (const double v : second ? spec.sweep2_values : spec.sweep_values) {
         DYNAGG_ASSIGN_OR_RETURN(ScenarioSpec swept,
-                                ApplySweepKey(unit, key, v));
+                                ApplySweepKey(cell, key, v));
         (second ? swept.sweep2_key : swept.sweep_key).clear();
         resolved.push_back(std::move(swept));
       }
     }
-    variants = std::move(resolved);
+    cells = std::move(resolved);
   }
-  if (!spec.sweep_key.empty()) variants.insert(variants.begin(), spec);
-  for (const ScenarioSpec& variant : variants) {
+  const auto validate = [&](const ScenarioSpec& variant) -> Status {
     // Environment knobs (env.* allowlist, ranges, hosts/degree
     // consistency) are spec-only; skipped for the rare protocols that
     // never build an environment.
@@ -686,8 +686,19 @@ Status ValidateExperiment(const ScenarioSpec& spec) {
     if (protocol.validate) {
       DYNAGG_RETURN_IF_ERROR(protocol.validate(variant));
     }
+    return Status::OK();
+  };
+  if (!spec.sweep_key.empty()) DYNAGG_RETURN_IF_ERROR(validate(spec));
+  for (const ScenarioSpec& cell : cells) {
+    DYNAGG_RETURN_IF_ERROR(validate(cell));
   }
-  return Status::OK();
+  return cells;
+}
+
+}  // namespace
+
+Status ValidateExperiment(const ScenarioSpec& spec) {
+  return ResolveCells(spec).status();
 }
 
 Result<std::vector<ResultTable>> RunExperiment(const ScenarioSpec& spec,
@@ -701,7 +712,10 @@ Result<std::vector<ResultTable>> RunExperiment(
     const ScenarioSpec& spec, const RunOptions& options,
     ExperimentTelemetry* telemetry) {
   int threads = options.threads;
-  DYNAGG_RETURN_IF_ERROR(ValidateExperiment(spec));
+  // Units run on the cell specs validation resolved: every sweep value is
+  // applied, and every key checked, once per cell.
+  DYNAGG_ASSIGN_OR_RETURN(const std::vector<ScenarioSpec> cells,
+                          ResolveCells(spec));
   // The effective mode: the options override (dynagg_run --telemetry) wins
   // over the spec key; collection also needs somewhere to put the result.
   const std::string& mode =
@@ -734,56 +748,36 @@ Result<std::vector<ResultTable>> RunExperiment(
       const int unit = next_unit.fetch_add(1);
       if (unit >= num_units) return;
 
-      ScenarioSpec unit_spec = spec;
       TrialContext ctx;
       ctx.trial = axes.trial(unit);
       ctx.trial_seed = TrialSeed(spec.seed, ctx.trial);
-      Status sweep_status = Status::OK();
       if (axes.has_sweep) {
         ctx.sweep_index = axes.sweep_index(unit);
         ctx.sweep_value = spec.sweep_values[ctx.sweep_index];
-        Result<ScenarioSpec> swept =
-            ApplySweepKey(unit_spec, spec.sweep_key, ctx.sweep_value);
-        if (swept.ok()) {
-          unit_spec = std::move(swept).value();
-        } else {
-          sweep_status = swept.status();
-        }
       }
-      if (sweep_status.ok() && axes.has_sweep2) {
+      if (axes.has_sweep2) {
         ctx.sweep2_index = axes.sweep2_index(unit);
         ctx.sweep2_value = spec.sweep2_values[ctx.sweep2_index];
-        Result<ScenarioSpec> swept =
-            ApplySweepKey(unit_spec, spec.sweep2_key, ctx.sweep2_value);
-        if (swept.ok()) {
-          unit_spec = std::move(swept).value();
-        } else {
-          sweep_status = swept.status();
-        }
       }
-      if (!sweep_status.ok()) {
-        slots[unit].emplace(sweep_status);
+      ctx.spec = &cells[unit / axes.trials];
+      // Install the unit's telemetry sink (null = all hooks no-op) for
+      // exactly the driver call: spans and counters land per unit, on the
+      // worker that ran it.
+      obs::TrialTelemetry* sink = nullptr;
+      if (collect) {
+        sink = &unit_telemetry[unit];
+        sink->unit = unit;
+        sink->worker = worker_id;
+        sink->trial = ctx.trial;
+        sink->profile = mode == "profile";
+      }
+      obs::ScopedTrial scope(sink);
+      Recorder rec;
+      const Status st = driver.run(ctx, protocol, rec);
+      if (st.ok()) {
+        slots[unit].emplace(rec.TakeBatch());
       } else {
-        ctx.spec = &unit_spec;
-        // Install the unit's telemetry sink (null = all hooks no-op) for
-        // exactly the driver call: spans and counters land per unit, on
-        // the worker that ran it.
-        obs::TrialTelemetry* sink = nullptr;
-        if (collect) {
-          sink = &unit_telemetry[unit];
-          sink->unit = unit;
-          sink->worker = worker_id;
-          sink->trial = ctx.trial;
-          sink->profile = mode == "profile";
-        }
-        obs::ScopedTrial scope(sink);
-        Recorder rec;
-        const Status st = driver.run(ctx, protocol, rec);
-        if (st.ok()) {
-          slots[unit].emplace(rec.TakeBatch());
-        } else {
-          slots[unit].emplace(st);
-        }
+        slots[unit].emplace(st);
       }
       if (options.on_unit_done) {
         std::lock_guard<std::mutex> lock(done_mutex);

@@ -37,10 +37,11 @@ namespace scenario {
 /// needs a trace-providing environment and a trace-capable protocol;
 /// gossip_period / sample_period are trace-driver keys), rounds/trials
 /// bounds, metric/aggregate grammar, sweep axis sanity (including that
-/// every sweep value is applicable to its key). This is the whole
-/// preflight of RunExperiment and the backing of `dynagg_run --dry-run`;
-/// protocol/environment parameter values are validated by the factories at
-/// execution time.
+/// every sweep value is applicable to its key), and the environment,
+/// driver and protocol checks of every key on the base spec and each
+/// sweep cell's resolved spec. This is the whole preflight of
+/// RunExperiment, which runs each unit on its cell's resolved spec, and
+/// the backing of `dynagg_run --dry-run`.
 Status ValidateExperiment(const ScenarioSpec& spec);
 
 /// Execution knobs beyond the spec itself.

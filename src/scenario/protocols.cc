@@ -362,13 +362,19 @@ SwarmParts<DynamicExtremeSwarm, ExtremeTruth> BuildExtremes(
 
 // ---------------------------------------------------- counting protocols ---
 
-/// Validates protocol.multiplicity: a per-host identifier count >= 0, or
+/// A parsed protocol.multiplicity: a per-host identifier count >= 0, or
 /// the symbolic value `workload` (round(v) for the paper's U[0,100) value
 /// workload — the multiple-insertion summation of the Invert-Average
 /// ablation, Section IV.B).
-Status ValidateMultiplicitySpec(const ScenarioSpec& spec) {
+struct Multiplicity {
+  bool workload = false;
+  int64_t count = 1;  // every host's count unless `workload`
+};
+
+Result<Multiplicity> ParseMultiplicity(const ScenarioSpec& spec) {
   DYNAGG_ASSIGN_OR_RETURN(const std::string text,
                           spec.ParamString("protocol.multiplicity", "1"));
+  Multiplicity out;
   if (text == "workload") {
     // Workload multiplicities include 0 (values < 0.5); the trace driver's
     // group estimate divides by the multiplicity.
@@ -377,40 +383,32 @@ Status ValidateMultiplicitySpec(const ScenarioSpec& spec) {
           "driver = trace does not support protocol.multiplicity = "
           "workload (group sizes are measured in devices)");
     }
-    return Status::OK();
+    out.workload = true;
+    return out;
   }
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t mult,
+  DYNAGG_ASSIGN_OR_RETURN(out.count,
                           spec.ParamInt("protocol.multiplicity", 1));
-  if (mult < 0) {
+  if (out.count < 0) {
     return Status::InvalidArgument("protocol.multiplicity must be >= 0");
   }
   // The trace driver's group estimate divides by the multiplicity to
   // compare counts against group sizes; 0 would silently print inf.
-  if (mult < 1 && spec.driver == "trace") {
+  if (out.count < 1 && spec.driver == "trace") {
     return Status::InvalidArgument(
         "driver = trace requires protocol.multiplicity >= 1 (group sizes "
         "are measured in devices)");
   }
-  return Status::OK();
+  return out;
 }
 
-/// The per-host multiplicities of a protocol.multiplicity the spec's parse
-/// has validated.
-Result<std::vector<int64_t>> Multiplicities(const TrialContext& ctx, int n) {
-  DYNAGG_ASSIGN_OR_RETURN(const std::string text,
-                          ctx.spec->ParamString("protocol.multiplicity", "1"));
-  if (text == "workload") {
-    const std::vector<double> values =
-        UniformWorkloadValues(n, ctx.trial_seed);
-    std::vector<int64_t> mult(n);
-    for (int i = 0; i < n; ++i) {
-      mult[i] = static_cast<int64_t>(values[i] + 0.5);
-    }
-    return mult;
-  }
-  DYNAGG_ASSIGN_OR_RETURN(const int64_t mult,
-                          ctx.spec->ParamInt("protocol.multiplicity", 1));
-  return std::vector<int64_t>(n, mult);
+/// The per-host multiplicities of one trial.
+std::vector<int64_t> Multiplicities(const Multiplicity& m,
+                                    const TrialContext& ctx, int n) {
+  if (!m.workload) return std::vector<int64_t>(n, m.count);
+  const std::vector<double> values = UniformWorkloadValues(n, ctx.trial_seed);
+  std::vector<int64_t> mult(n);
+  for (int i = 0; i < n; ++i) mult[i] = static_cast<int64_t>(values[i] + 0.5);
+  return mult;
 }
 
 /// Shared bins/levels validation of the sketch protocols.
@@ -432,11 +430,17 @@ double SketchGossipBytes(int bins, int levels, int64_t attributes) {
          (2.0 * (static_cast<double>(bins) * levels + 8.0));
 }
 
-Result<CountSketchParams> ParseCountSketchSpec(const ScenarioSpec& spec) {
+struct CountSketchSpecParams {
+  CountSketchParams params;
+  Multiplicity multiplicity;
+};
+
+Result<CountSketchSpecParams> ParseCountSketchSpec(const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
       "protocol.", {"bins", "levels", "mode", "multiplicity"}));
-  DYNAGG_RETURN_IF_ERROR(ValidateMultiplicitySpec(spec));
-  CountSketchParams params;
+  CountSketchSpecParams out;
+  DYNAGG_ASSIGN_OR_RETURN(out.multiplicity, ParseMultiplicity(spec));
+  CountSketchParams& params = out.params;
   DYNAGG_ASSIGN_OR_RETURN(const int64_t bins,
                           spec.ParamInt("protocol.bins", params.bins));
   DYNAGG_ASSIGN_OR_RETURN(const int64_t levels,
@@ -445,26 +449,23 @@ Result<CountSketchParams> ParseCountSketchSpec(const ScenarioSpec& spec) {
   DYNAGG_ASSIGN_OR_RETURN(params.mode, ParseGossipMode(spec));
   params.bins = static_cast<int>(bins);
   params.levels = static_cast<int>(levels);
-  return params;
+  return out;
 }
 
-Result<SwarmParts<CountSketchSwarm, CountTruth>> BuildCountSketch(
-    const TrialContext& ctx, int n, const CountSketchParams& params) {
-  DYNAGG_ASSIGN_OR_RETURN(std::vector<int64_t> mult,
-                          Multiplicities(ctx, n));
+SwarmParts<CountSketchSwarm, CountTruth> BuildCountSketch(
+    const TrialContext& ctx, int n, const CountSketchSpecParams& cfg) {
   auto box =
       std::make_shared<SwarmBox<CountSketchSwarm, std::vector<int64_t>>>(
-          std::move(mult), params);
+          Multiplicities(cfg.multiplicity, ctx, n), cfg.params);
   // One uint64 bit string per bin.
   return SwarmParts<CountSketchSwarm, CountTruth>{
       box, &box->swarm, CountTruth{&box->workload},
-      static_cast<double>(params.bins) * sizeof(uint64_t)};
+      static_cast<double>(cfg.params.bins) * sizeof(uint64_t)};
 }
 
 /// Parses the q list of a `counter_quantiles(q1, q2, ...)` selector (the
 /// per-bit bucketed counter-age quantiles of the spatial ablation), or an
-/// empty list when the spec does not request it. Shared by the CSR spec
-/// validator (--dry-run) and the finish hook.
+/// empty list when the spec does not request it.
 Result<std::vector<double>> ParseCounterQuantilesSpec(
     const ScenarioSpec& spec) {
   std::vector<double> qs;
@@ -491,7 +492,14 @@ Result<std::vector<double>> ParseCounterQuantilesSpec(
 
 struct CsrSpecParams {
   CsrParams params;
+  Multiplicity multiplicity;
   int64_t attributes = 1;
+  // The finish hook's selectors and record.* knobs (see below).
+  bool counter_cdf = false;
+  int64_t max_counter = 12;
+  std::vector<double> counter_quantiles;  // empty = not requested
+  double counter_hist_max = 64.0;
+  int64_t counter_hist_buckets = 64;
 };
 
 double GossipBytesModel(const CsrSwarm&, const CsrSpecParams& cfg) {
@@ -503,9 +511,10 @@ Result<CsrSpecParams> ParseCsrSpec(const ScenarioSpec& spec) {
   DYNAGG_RETURN_IF_ERROR(spec.CheckParams(
       "protocol.", {"bins", "levels", "cutoff_base", "cutoff_slope",
                     "cutoff_enabled", "mode", "multiplicity", "attributes"}));
-  DYNAGG_RETURN_IF_ERROR(ValidateMultiplicitySpec(spec));
-  DYNAGG_RETURN_IF_ERROR(ParseCounterQuantilesSpec(spec).status());
   CsrSpecParams out;
+  DYNAGG_ASSIGN_OR_RETURN(out.multiplicity, ParseMultiplicity(spec));
+  DYNAGG_ASSIGN_OR_RETURN(out.counter_quantiles,
+                          ParseCounterQuantilesSpec(spec));
   CsrParams& params = out.params;
   DYNAGG_ASSIGN_OR_RETURN(const int64_t bins,
                           spec.ParamInt("protocol.bins", params.bins));
@@ -529,21 +538,33 @@ Result<CsrSpecParams> ParseCsrSpec(const ScenarioSpec& spec) {
   }
   params.bins = static_cast<int>(bins);
   params.levels = static_cast<int>(levels);
+  out.counter_cdf = MetricRequested(spec, "cdf(counter)");
+  DYNAGG_ASSIGN_OR_RETURN(out.max_counter,
+                          spec.ParamInt("record.max_counter", 12));
+  if (out.max_counter < 1 || out.max_counter >= kCsrInfinity) {
+    return Status::InvalidArgument("record.max_counter must be in [1, 254]");
+  }
+  DYNAGG_ASSIGN_OR_RETURN(out.counter_hist_max,
+                          spec.ParamDouble("record.counter_hist_max", 64.0));
+  DYNAGG_ASSIGN_OR_RETURN(out.counter_hist_buckets,
+                          spec.ParamInt("record.counter_hist_buckets", 64));
+  if (!(out.counter_hist_max > 0) || out.counter_hist_buckets < 1) {
+    return Status::InvalidArgument(
+        "record.counter_hist_max must be > 0 and "
+        "record.counter_hist_buckets >= 1");
+  }
   return out;
 }
 
-Result<SwarmParts<CsrSwarm, CountTruth>> BuildCountSketchReset(
+SwarmParts<CsrSwarm, CountTruth> BuildCountSketchReset(
     const TrialContext& ctx, int n, const CsrSpecParams& cfg) {
-  const CsrParams params = cfg.params;
-  DYNAGG_ASSIGN_OR_RETURN(std::vector<int64_t> mult,
-                          Multiplicities(ctx, n));
   auto box = std::make_shared<SwarmBox<CsrSwarm, std::vector<int64_t>>>(
-      std::move(mult), params);
+      Multiplicities(cfg.multiplicity, ctx, n), cfg.params);
   CsrSwarm* swarm = &box->swarm;
   // One byte-sized age counter per (bin, level) slot.
   SwarmParts<CsrSwarm, CountTruth> parts{
       box, swarm, CountTruth{&box->workload},
-      static_cast<double>(params.bins) * params.levels};
+      static_cast<double>(cfg.params.bins) * cfg.params.levels};
 
   // Fig 6's bit-counter distribution: pool the N[n][k] age counters over
   // all hosts and bins after the last round and report the per-bit CDF of
@@ -559,16 +580,11 @@ Result<SwarmParts<CsrSwarm, CountTruth>> BuildCountSketchReset(
   // point per sufficiently-sourced bit (>= n/50 + 1 finite counters, the
   // legacy convention), quantiles over a bucketed histogram spanning
   // [0, record.counter_hist_max) with record.counter_hist_buckets buckets.
-  parts.finish = [swarm, params, n](const TrialContext& ctx,
-                                    Recorder& rec) -> Status {
-    if (MetricRequested(*ctx.spec, "cdf(counter)")) {
-      DYNAGG_ASSIGN_OR_RETURN(const int64_t max_counter,
-                              ctx.spec->ParamInt("record.max_counter", 12));
-      if (max_counter < 1 || max_counter >= kCsrInfinity) {
-        return Status::InvalidArgument(
-            "record.max_counter must be in [1, 254]");
-      }
-      const int max_c = static_cast<int>(max_counter);
+  parts.finish = [swarm, cfg, n](const TrialContext&,
+                                 Recorder& rec) -> Status {
+    const CsrParams& params = cfg.params;
+    if (cfg.counter_cdf) {
+      const int max_c = static_cast<int>(cfg.max_counter);
       std::vector<std::vector<int64_t>> histograms(
           params.levels, std::vector<int64_t>(max_c + 1, 0));
       for (HostId id = 0; id < n; ++id) {
@@ -592,22 +608,10 @@ Result<SwarmParts<CsrSwarm, CountTruth>> BuildCountSketchReset(
         }
       }
     }
-    DYNAGG_ASSIGN_OR_RETURN(const std::vector<double> quantiles,
-                            ParseCounterQuantilesSpec(*ctx.spec));
-    if (!quantiles.empty()) {
-      DYNAGG_ASSIGN_OR_RETURN(
-          const double hist_max,
-          ctx.spec->ParamDouble("record.counter_hist_max", 64.0));
-      DYNAGG_ASSIGN_OR_RETURN(
-          const int64_t hist_buckets,
-          ctx.spec->ParamInt("record.counter_hist_buckets", 64));
-      if (hist_max <= 0 || hist_buckets < 1) {
-        return Status::InvalidArgument(
-            "record.counter_hist_max must be > 0 and "
-            "record.counter_hist_buckets >= 1");
-      }
+    if (!cfg.counter_quantiles.empty()) {
       for (int k = 0; k < params.levels; ++k) {
-        Histogram hist(0, hist_max, static_cast<int>(hist_buckets));
+        Histogram hist(0, cfg.counter_hist_max,
+                       static_cast<int>(cfg.counter_hist_buckets));
         int64_t finite = 0;
         for (HostId id = 0; id < n; ++id) {
           const CountSketchResetNode& node = swarm->node(id);
@@ -621,7 +625,7 @@ Result<SwarmParts<CsrSwarm, CountTruth>> BuildCountSketchReset(
         // Skip bits that effectively never appear, as the legacy spatial
         // ablation did (quantiles of a near-empty histogram are noise).
         if (finite < n / 50 + 1) continue;
-        for (const double q : quantiles) {
+        for (const double q : cfg.counter_quantiles) {
           char buf[32];
           std::snprintf(buf, sizeof(buf), "%g", q * 100.0);
           rec.AddSeriesPoint("bit", "counter_p" + std::string(buf),

@@ -427,15 +427,18 @@ struct DriverDef {
   std::function<Status(const ScenarioSpec&, const ProtocolDef&)> validate;
 };
 
-/// A registered environment.
+/// A registered environment: RegisterEnvironment (environments.cc) makes
+/// each from a parse function, which reads every env.* key into typed
+/// params, and a build step over those params.
 struct EnvironmentDef {
   EnvironmentFactory make;
-  /// Whether EnvHandle::trace is populated (required by `driver = trace`).
+  /// Whether EnvHandle::trace is populated (required by `driver = trace`):
+  /// derived from the build returning a contact trace, set nowhere else.
   bool provides_trace = false;
-  /// Spec-only validation of the environment's knobs (env.* parameter
-  /// allowlist, value ranges, hosts/degree consistency) — everything
+  /// The parse alone: the env.* allowlist, value ranges and hosts
+  /// consistency (random-graph degree, spatial grid size) — everything
   /// checkable without building the environment or touching trace files.
-  /// Factories call the same function, so `--dry-run` rejects exactly the
+  /// `make` runs the same parse first, so `--dry-run` rejects exactly the
   /// env mismatches execution would.
   std::function<Status(const ScenarioSpec&)> validate;
 };
@@ -468,8 +471,9 @@ inline uint64_t TrialSeed(uint64_t base_seed, int trial) {
              : DeriveSeed(base_seed, 0x74726961ull /* "tria" */ + trial);
 }
 
-/// Instantiates ctx.spec's environment via the registry (factories validate
-/// their env.* parameters and spec.hosts consistency).
+/// Instantiates ctx.spec's environment via the registry (factories parse
+/// their env.* parameters first) and checks an explicit spec.hosts against
+/// the built host count (a trace's device count is known only once built).
 Result<EnvHandle> MakeEnvironment(const TrialContext& ctx);
 
 }  // namespace scenario

@@ -149,11 +149,11 @@ TEST(RecordEvaluationsTest, CountsAsyncSamples) {
                                     &telemetry);
   ASSERT_TRUE(tables.ok()) << tables.status().ToString();
   ASSERT_EQ(telemetry.units.size(), 1u);
-  // Samples 4..11; final_rms is evaluated once after the network settles,
-  // outside the sampled ticks.
+  // Samples 4..11, plus final_rms, evaluated once after the network
+  // settles: every RMS evaluation counts, as under the rounds driver.
   EXPECT_EQ(telemetry.units[0]
                 .counters[static_cast<int>(obs::Counter::kRecordEvaluations)],
-            8);
+            9);
 }
 
 // --------------------------------------------------- record.relative ---

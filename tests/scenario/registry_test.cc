@@ -1,5 +1,8 @@
 #include "scenario/registry.h"
 
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -116,6 +119,50 @@ TEST(BuiltinRegistryTest, DerivedCapabilitiesMatchBuiltHooks) {
     EXPECT_EQ(def->bandwidth_capable, swarm->set_meter != nullptr) << name;
     EXPECT_EQ(def->models_gossip_bytes, swarm->gossip_bytes >= 0) << name;
   }
+}
+
+// The environments' trace capability is derived from what each build
+// returns; it must match the handle the build makes, or `driver = trace`
+// validation would admit environments without a trace (or reject ones
+// with one).
+TEST(BuiltinRegistryTest, EnvironmentTraceCapabilityMatchesBuiltHandle) {
+  // Named after this test: a fixture path shared with another test could
+  // be truncated by it under `ctest -j`.
+  const std::string contacts =
+      ::testing::TempDir() + "/EnvironmentTraceCapabilityMatchesBuiltHandle" +
+      ".contacts";
+  {
+    std::ofstream out(contacts);
+    out << "10 20 0 600\n30 40 300 900\n";
+  }
+  const std::map<std::string, std::map<std::string, std::string>> knobs = {
+      {"uniform", {}},
+      {"spatial", {{"env.width", "3"}, {"env.height", "3"}}},
+      {"random-graph", {{"env.degree", "2"}}},
+      {"haggle", {{"env.hours", "1"}}},
+      {"crawdad", {{"env.trace_file", contacts}}}};
+  for (const std::string& name : EnvironmentRegistry().Names()) {
+    const Result<EnvironmentDef> def = EnvironmentRegistry().Find(name);
+    ASSERT_TRUE(def.ok()) << name;
+    const auto it = knobs.find(name);
+    ASSERT_NE(it, knobs.end()) << "no test spec for environment " << name;
+    ScenarioSpec spec;
+    spec.name = "env_caps";
+    spec.protocol = "push-sum";
+    spec.environment = name;
+    const bool intrinsic = name == "spatial" || def->provides_trace;
+    spec.hosts = intrinsic ? 0 : 8;
+    spec.params = it->second;
+    ASSERT_TRUE(ValidateExperiment(spec).ok()) << name;
+    TrialContext ctx;
+    ctx.spec = &spec;
+    ctx.trial_seed = 1;
+    const Result<EnvHandle> env = MakeEnvironment(ctx);
+    ASSERT_TRUE(env.ok()) << name << ": " << env.status().ToString();
+    EXPECT_GT(env->env->num_hosts(), 0) << name;
+    EXPECT_EQ(def->provides_trace, env->trace != nullptr) << name;
+  }
+  std::remove(contacts.c_str());
 }
 
 // A workload registered from outside the engine becomes runnable from a

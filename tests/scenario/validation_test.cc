@@ -166,6 +166,34 @@ TEST(DryRunValidationTest, RejectsCounterQuantilesOutsideUnitInterval) {
       "counter_quantiles");
 }
 
+// count-sketch-reset's counter-record knobs and the spatial grid's host
+// count are checked by the parse every trial runs first, so --dry-run
+// rejects these specs with the message a trial would fail with.
+TEST(DryRunValidationTest, RejectsOutOfRangeCounterRecordKnobs) {
+  const std::string base = "protocol = count-sketch-reset\nhosts = 16\n";
+  ExpectDryRunError(base + "record = cdf(counter)\nrecord.max_counter = 0\n",
+                    "record.max_counter must be in [1, 254]");
+  ExpectDryRunError(base +
+                        "record = counter_quantiles(0.5)\n"
+                        "record.counter_hist_buckets = 0\n",
+                    "record.counter_hist_buckets >= 1");
+  EXPECT_TRUE(DryRun(base +
+                     "record = cdf(counter), counter_quantiles(0.5)\n"
+                     "record.max_counter = 254\n"
+                     "record.counter_hist_buckets = 1\n")
+                  .ok());
+}
+
+TEST(DryRunValidationTest, RejectsHostsThatDisagreeWithSpatialGrid) {
+  const std::string base =
+      "protocol = push-sum\nenvironment = spatial\nenv.width = 10\n"
+      "env.height = 10\n";
+  ExpectDryRunError(base + "hosts = 50\n",
+                    "does not match the environment's intrinsic size 100");
+  EXPECT_TRUE(DryRun(base + "hosts = 100\n").ok());
+  EXPECT_TRUE(DryRun(base + "hosts = 0\n").ok());
+}
+
 // ------------------------------------------- driver-compatibility paths ---
 
 TEST(DryRunValidationTest, RejectsGossipBytesOnProtocolWithoutModel) {

@@ -137,7 +137,8 @@ void AppendProtocolKnobs(const std::string& name, Rng& rng,
 }
 
 /// A generated spec, and whether --dry-run must reject it before any
-/// mutation: it asks for a capability the protocol lacks.
+/// mutation: it asks for a capability the protocol lacks, or sets a knob
+/// out of range.
 struct GeneratedSpec {
   std::vector<SpecLine> lines;
   bool must_reject = false;
@@ -285,6 +286,27 @@ void AppendRoundsSpec(const std::string& protocol, const ProtocolDef& def,
   }
   if (DrawGated(def.models_gossip_bytes, 0.2, rng, out)) {
     record += ", gossip_bytes";
+  }
+  // The protocol's own finish-hook records: its argument-free selectors
+  // (not the "(*)" families), and its record.* knobs at small in-range
+  // values for Mutate to corrupt. One draw in four zeroes a knob instead
+  // (below the range of every such knob), aimed at the dry-run.
+  if (rng.Bernoulli(0.3)) {
+    for (const std::string& selector : def.extra_metrics) {
+      if (!selector.ends_with("(*)") && rng.Bernoulli(0.7)) {
+        record += ", " + selector;
+      }
+    }
+    for (const std::string& key : def.extra_record_keys) {
+      lines->push_back(
+          {"record." + key, std::to_string(rng.UniformRange(1, 16))});
+    }
+    if (!def.extra_record_keys.empty() && rng.Bernoulli(0.25)) {
+      lines->at(lines->size() - 1 -
+                rng.UniformInt(def.extra_record_keys.size()))
+          .value = "0";
+      out->must_reject = true;
+    }
   }
   if (record != "rms") lines->push_back({"record", record});
 }
@@ -502,12 +524,12 @@ FuzzStats FuzzBatch(uint64_t seed, int count, const std::string& out_dir,
         continue;
       }
       if (generated.must_reject && !mutated) {
-        // Aimed at a capability the protocol lacks: passing --dry-run
-        // means the capability check is missing.
+        // Aimed at a capability the protocol lacks or an out-of-range
+        // knob: passing --dry-run means that check is missing.
         ++stats.violations;
         DumpRepro(out_dir, seed, i, text,
                   "dry-run accepted a spec that needs a capability the "
-                  "protocol lacks");
+                  "protocol lacks or sets a knob out of range");
         continue;
       }
       if (!WithinExecutionBudget(spec)) {
